@@ -93,29 +93,48 @@ class ChildResult:
 
 def run_child(argv, stderr_path: Path, stdout=subprocess.DEVNULL,
               timeout: float = CHILD_TIMEOUT_S) -> ChildResult:
-    """Run one child to completion; wall time and its own peak RSS.
-
-    ``os.wait4`` returns the resource usage of exactly this child, so the
-    peak RSS is the program's, not the benchmark's.
-    """
+    """Run one child to completion; wall time and its own CPU time and peak RSS."""
     with open(stderr_path, "wb") as err:
         start = time.perf_counter()
         proc = subprocess.Popen(argv, stdout=stdout, stderr=err,
                                 env=program_env(), cwd=ROOT)
-        timer = threading.Timer(timeout, proc.kill)
-        timer.start()
-        try:
-            _, status, usage = os.wait4(proc.pid, 0)
-        except BaseException:
-            proc.kill()
-            proc.wait()
-            raise
-        finally:
-            timer.cancel()
+        returncode, cpu_s, maxrss_mb = wait_child(proc, timeout)
         wall = time.perf_counter() - start
+    return ChildResult(returncode, wall, cpu_s, maxrss_mb,
+                       stderr_path.read_text(errors="replace"))
+
+
+def wait_child(proc, timeout: float) -> tuple[int, float, float]:
+    """Wait for ``proc`` (killed after ``timeout`` s); its exit code, CPU s and peak RSS MB.
+
+    ``os.wait4`` returns the resource usage of exactly this child, so the
+    figures are the program's, not the benchmark's.
+    """
+    timer = threading.Timer(timeout, proc.kill)
+    timer.start()
+    try:
+        _, status, usage = os.wait4(proc.pid, 0)
+    except BaseException:
+        proc.kill()
+        proc.wait()
+        raise
+    finally:
+        timer.cancel()
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return ChildResult(proc.returncode, wall, usage.ru_utime + usage.ru_stime,
-                       usage.ru_maxrss / 1024.0, stderr_path.read_text(errors="replace"))
+    return proc.returncode, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
+
+
+def process_cpu_s(pid: int) -> float:
+    """CPU seconds a live process has used so far, its reaped children included.
+
+    Read from ``/proc/<pid>/stat`` (Linux): user and system time of all its
+    threads, plus those of the children it has waited for.
+    """
+    with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+        # The command name (field 2) may hold spaces; the fields after it
+        # start at "state", so utime..cstime are 11..14 counted from there.
+        fields = handle.read().rsplit(")", 1)[1].split()
+    return sum(int(value) for value in fields[11:15]) / os.sysconf("SC_CLK_TCK")
 
 
 def child_argv(script: str, *args: str) -> list[str]:

@@ -46,9 +46,10 @@ END_TO_END = (
 
 #: Printed with every run but not gated.  On the shared 2-vCPU Xeon VM the
 #: benchmark was built on, the wall time of a fixed pure-Python loop swung
-#: by up to 3x between one-second samples while its CPU time stayed within
-#: a few percent, and the wall-clock medians of ten 20-25 s runs spread by
-#: 20-37% of their median: more than the largest bound (0.25) allows.
+#: by up to 3x between one-second samples, and the wall-clock medians of
+#: ten 20-25 s runs spread by 20-37% of their median: more than the
+#: largest bound (0.25) allows.  CPU time swung less, but still by up to
+#: 1.6x from one minute to the next.
 WALL_CLOCK = (
     ("setup_wall_s", "s", "wall time of set-up, median of the run's set-ups"),
     ("op_p50_ms", "ms", "median latency of one op as its caller sees it"),

@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -217,6 +218,22 @@ def test_self_time_subtracts_children_and_adopts_helper_thread_spans():
     by_name = {s.name: s for s in layers.index_dump(dump, adopt_orphans=True)}
     assert by_name["sweep.analyze_sites"].self_ns == 60
     assert by_name["plan.chunk_plan"].parent == 1
+
+
+# ------------------------------------------------------------ measuring
+
+
+def test_process_cpu_of_a_live_child_grows_and_wait_child_reports_it(tmp_path):
+    burn = ("import sys, time\nend = time.process_time() + 0.3\n"
+            "while time.process_time() < end: pass\nsys.stdin.read()")
+    proc = subprocess.Popen([sys.executable, "-c", burn], stdin=subprocess.PIPE)
+    time.sleep(1.0)
+    live = harness.process_cpu_s(proc.pid)
+    proc.stdin.close()
+    returncode, cpu_s, maxrss_mb = harness.wait_child(proc, 30.0)
+    assert returncode == 0
+    assert 0.25 <= live <= cpu_s
+    assert maxrss_mb > 1.0
 
 
 # ------------------------------------------------------------- contract

@@ -5,10 +5,11 @@ Usage: ``python perfbench/whatif_child.py CONFIG_JSON``
 Parses the netlist, builds ``SERAnalyzer(circuit)`` with its default
 engine-computed signal probabilities, takes ``snapshot()`` and
 ``report_for()`` (the set-up, repeated ``setup_reps`` times on a fresh
-parse), then applies the given edits one at a time, each followed by
-``analyze_delta`` and ``report_for``, until the time budget is spent.
-Writes per-edit timings and counts, and the final revision's packed
-arrays, for the parent to check.
+parse, each after the previous analyzer is released, so the peak RSS is
+that of one analyzer and its chain), then applies the given edits one at
+a time, each followed by ``analyze_delta`` and ``report_for``, until the
+time budget is spent.  Writes per-edit timings and counts, and the
+final revision's packed arrays, for the parent to check.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ def main(config_path: str) -> int:
 
     setup_wall, setup_cpu = [], []
     for _ in range(config["setup_reps"]):
+        analyzer = snap = None
         start, cpu_start = time.perf_counter(), time.process_time()
         with recording(recorder, "setup"):
             analyzer, snap = setup()

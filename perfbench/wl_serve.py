@@ -14,10 +14,12 @@ benchmark process, send a seeded closed-loop mix:
 * 10% ``analyze_delta`` polarity swaps on the smaller circuit, which
   extend the server-held what-if chain.
 
-The gated CPU time of an op is the server's CPU time during the mix (its
-whole life minus the median of servers that only started and warmed up)
-divided by the completed requests; set-up is timed on those warm-only
-servers.
+The gated CPU time of an op is the server's CPU time during the mix,
+read from ``/proc/<pid>/stat`` when the mix starts and when it ends,
+divided by the completed requests.  The set-up time of a server is its CPU
+time from start to the end of the warm-up.  Besides the measured server,
+servers that only start and warm up are set up before and after the mix,
+so the set-up samples span the whole run.
 
 Checks after the mix: every ``analyze`` answer equals the in-process
 reference for its circuit and sites, a hit equals the first answer for
@@ -57,7 +59,8 @@ class Sizes:
     delta_circuit = "s1423"
     upload_circuit = "s953"
     miss_fraction = 0.05
-    setup_reps = 3
+    #: Servers set up per pass, the measured one included.
+    setup_reps = 5
 
 
 class ServeMix:
@@ -158,25 +161,33 @@ class ServeMix:
                               f"{(self.tmp / 'server_stderr.txt').read_text()[-500:]}")
         return proc
 
-    def stop_server(self, proc) -> tuple[float, float]:
-        """SIGTERM, wait for the drain; the server's peak RSS (MB) and CPU seconds."""
+    def stop_server(self, proc) -> float:
+        """SIGTERM, wait for the drain; the server's peak RSS (MB)."""
         proc.send_signal(signal.SIGTERM)
-        timer = threading.Timer(20.0, proc.kill)
-        timer.start()
+        returncode, _, maxrss_mb = harness.wait_child(proc, 20.0)
+        rest = proc.stdout.read()
+        proc.stdout.close()
+        if returncode != 0 or b"drained" not in rest:
+            raise CheckFailed(f"server did not drain cleanly (rc {returncode})")
+        return maxrss_mb
+
+    def set_up(self, result: PassResult, spans_out=None):
+        """Start a server and warm it up; record the set-up's wall and CPU time.
+
+        Returns the running server and its warm-up answers.
+        """
+        start = time.perf_counter()
+        proc = self.start_server(spans_out)
+        first = self.warm(proc)
         try:
-            _, status, usage = os.wait4(proc.pid, 0)
+            cpu = harness.process_cpu_s(proc.pid)
         except BaseException:
             proc.kill()
             proc.wait()
             raise
-        finally:
-            timer.cancel()
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        rest = proc.stdout.read()
-        proc.stdout.close()
-        if proc.returncode != 0 or b"drained" not in rest:
-            raise CheckFailed(f"server did not drain cleanly (rc {proc.returncode})")
-        return usage.ru_maxrss / 1024.0, usage.ru_utime + usage.ru_stime
+        result.setup_wall_s.append(time.perf_counter() - start)
+        result.setup_cpu_s.append(cpu)
+        return proc, first
 
     def warm(self, proc):
         """One request per circuit; the answers are the first per hit key.
@@ -206,30 +217,22 @@ class ServeMix:
         result = PassResult()
         traced = recorder is not None
         spans_out = self.tmp / "server_spans.json" if traced else None
-        # Set-up is timed on servers that only start and warm up: their
-        # whole CPU time is set-up.  The measured server is set up the
-        # same way, then serves the mix.
-        for _ in range(setup_reps or self.sizes.setup_reps):
-            start = time.perf_counter()
-            proc = self.start_server(self.tmp / "warm_spans.json" if traced else None)
-            self.warm(proc)
-            result.setup_wall_s.append(time.perf_counter() - start)
-            result.setup_cpu_s.append(self.stop_server(proc)[1])
-        proc = self.start_server(spans_out)
-        first = self.warm(proc)
-
+        warm_spans = self.tmp / "warm_spans.json" if traced else None
+        others = (setup_reps or self.sizes.setup_reps) - 1
+        for _ in range(others // 2):
+            self.stop_server(self.set_up(result, warm_spans)[0])
+        proc, first = self.set_up(result, spans_out)
         try:
             with ServeClient(self.socket, client_id="stats") as client:
                 before = client.stats()["counters"]
-            records = self.mix(seconds, traced, result)
+            records, mix_cpu = self.mix(proc, seconds, traced, result)
             with ServeClient(self.socket, client_id="stats") as client:
                 after = client.stats()["counters"]
         finally:
-            result.peak_rss_mb, total_cpu = self.stop_server(proc)
+            result.peak_rss_mb = self.stop_server(proc)
+        for _ in range(others - others // 2):
+            self.stop_server(self.set_up(result, warm_spans)[0])
         if result.completed:
-            # The server's CPU during the mix: its whole life minus what a
-            # server that only started and warmed up used.
-            mix_cpu = total_cpu - harness.median(result.setup_cpu_s)
             result.cpu_s = [mix_cpu / result.completed]
         result.extra["counters"] = {key: after[key] - before.get(key, 0) for key in after}
         result.extra["records"] = records
@@ -241,14 +244,14 @@ class ServeMix:
                                             for r in records if r["conn"] == conn]
         return result
 
-    def mix(self, seconds, traced, result):
+    def mix(self, proc, seconds, traced, result):
+        """Run the mix; the records, and the server's CPU seconds over it."""
         from repro.errors import ReproError
         from repro.server.client import ServeClient
 
         records: list[dict] = []
         crashes: list[BaseException] = []
         lock = threading.Lock()
-        deadline = time.perf_counter() + seconds
 
         def connection(conn):
             try:
@@ -280,12 +283,15 @@ class ServeMix:
 
         threads = [threading.Thread(target=connection, args=(conn,), daemon=True)
                    for conn in range(CONNECTIONS)]
+        cpu_start = harness.process_cpu_s(proc.pid)
         loop_start = time.perf_counter()
+        deadline = loop_start + seconds
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
         result.loop_wall_s = time.perf_counter() - loop_start
+        cpu = harness.process_cpu_s(proc.pid) - cpu_start
         if crashes:
             raise crashes[0]
         records.sort(key=lambda r: (r["conn"], r["index"]))
@@ -295,7 +301,7 @@ class ServeMix:
         for r in records:
             if "error" in r:
                 result.lines.append(f"# request {r['rid']} ({r['kind']}) failed: {r['error']}")
-        return records
+        return records, cpu
 
     def layer_values(self, traced: PassResult, spans) -> dict:
         """Serving counters from the public ``stats`` op, over the mix."""

@@ -39,7 +39,7 @@ ROTATION = len(KINDS)
 
 class Sizes:
     circuit = "s9234"
-    setup_reps = 3
+    setup_reps = 4
     top_nodes = 50
     chain_length = 400
 
