@@ -7,6 +7,7 @@ directory on ``PYTHONPATH`` and nothing else of the benchmark's.
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
 import shutil
@@ -146,6 +147,80 @@ def repro_argv(*args: str) -> list[str]:
     return [sys.executable, "-m", "repro", *args]
 
 
+# ------------------------------------------------------- host speed
+
+#: CPU seconds the calibration kernel takes at the reference host speed.
+#: On the shared 2-vCPU VM the benchmark was built on (Intel Xeon, 2.1 GHz)
+#: the CPU time of fixed work swung by up to 1.6x from one minute to the
+#: next as other tenants came and went; the kernel took 0.017-0.027 s.
+CALIBRATION_REF_S = 0.025
+
+#: The calibration process: it runs a fixed kernel once per line on stdin
+#: and answers with the kernel's CPU seconds.  The kernel mixes the two
+#: kinds of work the program does, dict churn in pure Python and
+#: elementwise NumPy passes that allocate their results.
+CALIBRATOR = """
+import sys, time
+import numpy as np
+base = np.linspace(0.0, 1.0, 200_000)
+
+def kernel():
+    start = time.process_time()
+    counts = {}
+    for i in range(60_000):
+        counts[i % 977] = counts.get(i % 977, 0) + i
+    sorted(counts.values())
+    x = base
+    for _ in range(20):
+        x = np.sqrt(x * 1.0001 + 0.5)
+    return time.process_time() - start
+
+kernel()  # warm-up, not reported
+for _ in sys.stdin:
+    print(kernel(), flush=True)
+"""
+
+_calibrator = None
+
+
+def calibration_s() -> float:
+    """CPU seconds of one run of the calibration kernel.
+
+    cold_cli and whatif_chain run it before every set-up and every op,
+    never concurrently with them, and their gated CPU figures are scaled
+    by ``CALIBRATION_REF_S / median(kernel times)``
+    (:meth:`PassResult.host_speed`): a slow phase of the host slows the
+    kernel and the program alike and cancels out.  serve_mix is not
+    scaled (see :mod:`wl_serve`).  The kernel runs in a process of its
+    own, started on first use and ended by :func:`stop_calibrator`, so its
+    memory state is the same in every run whatever the measuring process
+    holds.
+    """
+    global _calibrator
+    if _calibrator is None:
+        _calibrator = subprocess.Popen(
+            [sys.executable, "-c", CALIBRATOR], stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE, text=True, cwd=ROOT, env=program_env())
+        atexit.register(stop_calibrator)
+    _calibrator.stdin.write("\n")
+    _calibrator.stdin.flush()
+    return float(_calibrator.stdout.readline())
+
+
+def stop_calibrator() -> None:
+    """End the calibration process, if one runs, and wait for it."""
+    global _calibrator
+    if _calibrator is not None:
+        proc, _calibrator = _calibrator, None
+        proc.stdin.close()
+        try:
+            proc.wait(timeout=10.0)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+
+
 # ------------------------------------------------------------- statistics
 
 
@@ -193,6 +268,9 @@ class PassResult:
         #: CPU seconds the program spent (where known).
         self.latencies_s: list[float] = []
         self.cpu_s: list[float] = []
+        #: :func:`calibration_s` samples taken between measured pieces, or
+        #: None for a workload whose CPU figures are not scaled.
+        self.calibration_s: list[float] | None = None
         self.loop_wall_s = 0.0
         self.attempted = 0
         self.failed = 0
@@ -209,12 +287,32 @@ class PassResult:
     def completed(self) -> int:
         return self.attempted - self.failed
 
+    def host_speed(self) -> float:
+        """How fast the host ran the calibration kernel, relative to the reference.
+
+        1.0 for a workload that takes no calibration samples.
+        """
+        if self.calibration_s is None:
+            return 1.0
+        if not self.calibration_s:
+            raise CheckFailed("the pass took no calibration samples")
+        return CALIBRATION_REF_S / median(self.calibration_s)
+
     def end_to_end(self) -> dict:
-        """The gated metrics: CPU time and memory of the program."""
+        """The gated metrics: CPU time at the reference host speed, and memory."""
+        speed = self.host_speed()
         return {
-            "setup_s": median(self.setup_cpu_s),
-            "op_cpu_ms": 1000.0 * median(self.cpu_s),
+            "setup_s": median(self.setup_cpu_s) * speed,
+            "op_cpu_ms": 1000.0 * median(self.cpu_s) * speed,
             "peak_rss_mb": self.peak_rss_mb,
+        }
+
+    def raw_cpu(self) -> dict:
+        """The CPU figures as measured, before scaling to the reference speed."""
+        return {
+            "setup_raw_s": median(self.setup_cpu_s),
+            "op_cpu_raw_ms": 1000.0 * median(self.cpu_s),
+            "host_speed": self.host_speed(),
         }
 
     def wall_clock(self) -> dict:

@@ -37,6 +37,8 @@ WORKLOADS = {cls.name: cls for cls in (ColdCLI, WhatIfChain, ServeMix)}
 WATCHDOG_S = 170
 
 #: End-to-end metrics: (name, unit, what it is).
+#: CPU times are scaled to the reference host speed on cold_cli and
+#: whatif_chain (harness.calibration_s), and as measured on serve_mix.
 END_TO_END = (
     ("setup_s", "s", "CPU time the program spends on set-up before the first timed op, "
                      "median of the run's set-ups"),
@@ -49,7 +51,7 @@ END_TO_END = (
 #: by up to 3x between one-second samples, and the wall-clock medians of
 #: ten 20-25 s runs spread by 20-37% of their median: more than the
 #: largest bound (0.25) allows.  CPU time swung less, but still by up to
-#: 1.6x from one minute to the next.
+#: 1.6x from one minute to the next, hence harness.calibration_s.
 WALL_CLOCK = (
     ("setup_wall_s", "s", "wall time of set-up, median of the run's set-ups"),
     ("op_p50_ms", "ms", "median latency of one op as its caller sees it"),
@@ -86,6 +88,12 @@ def describe(workload: str, result) -> list[str]:
              f"{len(result.cpu_s)} CPU samples, {len(result.setup_cpu_s)} set-ups"]
     for name, unit, _ in END_TO_END:
         lines.append(f"{name} = {e2e[name]:.6g} {unit}")
+    raw = result.raw_cpu()
+    lines += ["# as measured, before scaling to the reference host speed (not gated):",
+              f"setup_raw_s = {raw['setup_raw_s']:.6g} s",
+              f"op_cpu_raw_ms = {raw['op_cpu_raw_ms']:.6g} ms",
+              f"host_speed = {raw['host_speed']:.6g} x reference "
+              f"({len(result.calibration_s or ())} kernel samples)"]
     lines.append("# wall clock (not gated):")
     for name, unit, _ in WALL_CLOCK:
         lines.append(f"{name} = {wall[name]:.6g} {unit}")
@@ -246,6 +254,7 @@ def main(argv=None) -> int:
             return 3
         finally:
             signal.alarm(0)
+            harness.stop_calibrator()
     harness.emit({"correct": True, "attempted": max(1, attempted), "failed": failed,
                   "metrics": metrics}, lines)
     return 0

@@ -236,6 +236,21 @@ def test_process_cpu_of_a_live_child_grows_and_wait_child_reports_it(tmp_path):
     assert maxrss_mb > 1.0
 
 
+def test_end_to_end_cpu_scales_with_the_calibration_kernel():
+    result = harness.PassResult()
+    result.setup_cpu_s = [1.0, 3.0, 2.0]
+    result.cpu_s = [0.5]
+    assert result.end_to_end()["setup_s"] == 2.0  # no samples: not scaled
+    result.calibration_s = [harness.CALIBRATION_REF_S * 2] * 3
+    e2e = result.end_to_end()
+    assert e2e["setup_s"] == pytest.approx(1.0)
+    assert e2e["op_cpu_ms"] == pytest.approx(250.0)
+    assert result.raw_cpu()["setup_raw_s"] == 2.0
+    result.calibration_s = []
+    with pytest.raises(harness.CheckFailed):
+        result.end_to_end()
+
+
 # ------------------------------------------------------------- contract
 
 

@@ -8,8 +8,10 @@ engine-computed signal probabilities, takes ``snapshot()`` and
 parse, each after the previous analyzer is released, so the peak RSS is
 that of one analyzer and its chain), then applies the given edits one at
 a time, each followed by ``analyze_delta`` and ``report_for``, until the
-time budget is spent.  Writes per-edit timings and counts, and the
-final revision's packed arrays, for the parent to check.
+time budget is spent.  The calibration kernel
+(:func:`harness.calibration_s`) runs before every set-up and every edit,
+and once after the last.  Writes per-edit timings and counts, the kernel
+times, and the final revision's packed arrays, for the parent to check.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import sys
 import time
 
+import harness
 import spans
 from spans import recording
 
@@ -59,9 +62,10 @@ def main(config_path: str) -> int:
         analyzer.report_for(snap)
         return analyzer, snap
 
-    setup_wall, setup_cpu = [], []
+    setup_wall, setup_cpu, calibration = [], [], []
     for _ in range(config["setup_reps"]):
         analyzer = snap = None
+        calibration.append(harness.calibration_s())
         start, cpu_start = time.perf_counter(), time.process_time()
         with recording(recorder, "setup"):
             analyzer, snap = setup()
@@ -76,6 +80,9 @@ def main(config_path: str) -> int:
         if time.perf_counter() >= deadline:
             break
         edits = edit_set(op)
+        paused = time.perf_counter()
+        calibration.append(harness.calibration_s())
+        deadline += time.perf_counter() - paused
         cpu_start = time.process_time()
         start = time.perf_counter()
         with recording(recorder, "op", index=index):
@@ -89,11 +96,14 @@ def main(config_path: str) -> int:
                     "sites": int(stats["sites"])})
         revision = delta
     loop_wall = time.perf_counter() - loop_start
+    calibration.append(harness.calibration_s())
+    harness.stop_calibrator()
 
     np.savez(config["packed_out"], *revision.packed)
     with open(config["result_out"], "w", encoding="utf-8") as handle:
         json.dump({"setup_wall_s": setup_wall, "setup_cpu_s": setup_cpu, "ops": ops,
-                   "loop_wall_s": loop_wall, "site_names": list(revision.site_names)},
+                   "loop_wall_s": loop_wall, "calibration_s": calibration,
+                   "site_names": list(revision.site_names)},
                   handle)
     if recorder is not None:
         recorder.dump(config["spans_out"])

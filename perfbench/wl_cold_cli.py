@@ -7,7 +7,8 @@ assembly.  The netlist is the seeded ``generate_iscas(circuit, seed)``.
 Set-up is generating and writing that netlist in the benchmark process;
 it is timed once before the first op and then before each of the
 following ops until ``setup_reps`` set-ups are done, so the samples span
-the run.
+the run.  The calibration kernel (:func:`harness.calibration_s`) runs
+before every set-up and every op, and once after the last.
 
 Checks, all outside the timed region: every CSV's ``p_sensitized`` agrees
 to 1e-9 with an in-process ``SERAnalyzer.analyze`` of the same file, and
@@ -80,6 +81,7 @@ class ColdCLI:
         # of the collections that generation triggers.
         gc.collect()
         gc.freeze()
+        result.calibration_s.append(harness.calibration_s())
         start, cpu_start = time.perf_counter(), time.process_time()
         with recording(recorder, "setup"):
             text = self.generate()
@@ -90,6 +92,7 @@ class ColdCLI:
 
     def run_pass(self, seconds: float, recorder=None, setup_reps=None) -> PassResult:
         result = PassResult()
+        result.calibration_s = []
         reps = setup_reps or self.sizes.setup_reps
         # Set-up runs in this process: record its spans here, and only here.
         self.set_up(result, recorder)
@@ -108,6 +111,7 @@ class ColdCLI:
                 deadline += paused
                 paused_s += paused
             index = result.attempted
+            result.calibration_s.append(harness.calibration_s())
             out = self.tmp / f"op{index}.csv"
             cli_args = ("analyze", str(self.netlist), "--top", "10", "--csv", str(out))
             if recorder is None:
@@ -131,6 +135,7 @@ class ColdCLI:
                 dump["op"] = index
                 result.dumps.append(dump)
         result.loop_wall_s = time.perf_counter() - loop_start - paused_s
+        result.calibration_s.append(harness.calibration_s())
 
         checked = [self.check_csv(path) for path in csvs]
         values = [rows for rows, _ in checked]

@@ -21,6 +21,14 @@ time from start to the end of the warm-up.  Besides the measured server,
 servers that only start and warm up are set up before and after the mix,
 so the set-up samples span the whole run.
 
+These CPU figures are not scaled by the calibration kernel
+(:func:`harness.calibration_s`), unlike the other workloads': the mix
+keeps both vCPUs busy at once (two server workers and two client
+threads), so its CPU time also depends on contention between the
+benchmark's own processes, which a kernel run on an idle host does not
+see.  Scaling made both spreads wider over five seeds (op 0.23 -> 0.24,
+set-up 0.19 -> 0.26).
+
 Checks after the mix: every ``analyze`` answer equals the in-process
 reference for its circuit and sites, a hit equals the first answer for
 its key, and replaying the delta chain in process (in the server's

@@ -89,6 +89,7 @@ class WhatIfChain:
             out = json.load(handle)
         result.setup_wall_s = out["setup_wall_s"]
         result.setup_cpu_s = out["setup_cpu_s"]
+        result.calibration_s = out["calibration_s"]
         # The three edit kinds differ about 4x in cost, so a median over
         # single edits would sit on the boundary between two of them.  The
         # latency sample is one whole rotation round's mean edit latency.
