@@ -243,8 +243,7 @@ class SERAnalyzer:
         """Analyze many sites (default: every combinational gate output).
 
         Analysis knobs — ``backend``/``batch_size``/``jobs``/``prune``/
-        ``schedule``/``cells``/``chunking``/``rows`` plus the resilience
-        set (``retries``/``shard_timeout``/``on_failure``/``deadline``/
+        ``schedule`` plus the resilience set (``retries``/``shard_timeout``/``on_failure``/``deadline``/
         ``checkpoint``) — are forwarded to :meth:`EPPEngine.analyze`,
         either individually or as one pre-built
         :class:`~repro.core.config.AnalysisConfig` via ``config=``:

@@ -1,7 +1,7 @@
 """The unified analysis execution-option layer: one typed knob surface.
 
 Every analysis knob in the system — backend selection, sweep shaping
-(``batch_size``/``prune``/``schedule``/``cells``/``chunking``/``rows``),
+(``batch_size``/``prune``/``schedule``),
 sharding (``jobs``) and resilience (``retries``/``shard_timeout``/
 ``on_failure``/``deadline``/``fault_injector``/``checkpoint``) — lives on
 one frozen dataclass, :class:`AnalysisConfig`.  Before this module the
@@ -45,17 +45,7 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
-from repro.core.schedule import (
-    CELL_MODES,
-    CHUNKINGS,
-    ROW_MODES,
-    SCHEDULES,
-    resolve_prune,
-    validate_cells,
-    validate_chunking,
-    validate_rows,
-    validate_schedule,
-)
+from repro.core.schedule import SCHEDULES, resolve_prune, validate_schedule
 from repro.errors import AnalysisConfigError
 
 __all__ = [
@@ -75,7 +65,9 @@ __all__ = [
 #: digest — bumping the number guarantees the new identities can never
 #: collide with (or silently reuse) artifacts persisted under the old
 #: scheme; stale disk-store and journal entries simply miss and rebuild.
-WIRE_VERSION = 2
+#: Version 3 dropped the retired ``cells``/``chunking``/``rows`` sweep
+#: knobs, so identities minted while they existed miss cleanly too.
+WIRE_VERSION = 3
 
 #: On-failure modes, re-exported here so the CLI and the knob reference
 #: need only this module.  The authoritative tuple lives with
@@ -156,25 +148,6 @@ class AnalysisConfig:
             "site list spans multiple chunks, `cone` always clusters, "
             "`input` preserves caller order.",
     )
-    cells: str | None = _knob(
-        wire=True, kind="choice", cli="--cells", delta=True, sweep=True,
-        choices=CELL_MODES, section="sweep",
-        doc="Cell-compaction for sparse sweep kernels: `auto` per-group "
-            "cost model, `on`/`off` to force.",
-    )
-    chunking: str | None = _knob(
-        wire=True, kind="choice", cli="--chunking", delta=True, sweep=True,
-        choices=CHUNKINGS, section="sweep",
-        doc="Chunk-width strategy: `auto` calibrated policy, `adaptive` "
-            "cone-cluster-aligned spans, `fixed` flat slicing.",
-    )
-    rows: str | None = _knob(
-        wire=True, kind="choice", cli="--rows", delta=True, sweep=True,
-        choices=ROW_MODES, section="sweep",
-        doc="State-matrix row layout for pruned sweeps: `auto` calibrated "
-            "policy, `compact` union-of-cones buffers, `full` full-circuit "
-            "buffers with dirty-row reset.",
-    )
     retries: int | None = _knob(
         wire=True, kind="int", cli="--retries", sharded_only=True,
         section="resilience",
@@ -227,9 +200,6 @@ class AnalysisConfig:
             )
         resolve_prune(self.prune)
         validate_schedule(self.schedule)
-        validate_cells(self.cells)
-        validate_chunking(self.chunking)
-        validate_rows(self.rows)
         if self.backend is not None:
             from repro.core.backends import REGISTRY
 
@@ -342,9 +312,6 @@ class AnalysisConfig:
         return self.replace(
             prune=resolve_prune(self.prune),
             schedule=validate_schedule(self.schedule),
-            cells=validate_cells(self.cells),
-            chunking=validate_chunking(self.chunking),
-            rows=validate_rows(self.rows),
         )
 
     # ----------------------------------------------------- serialization

@@ -399,22 +399,17 @@ class EPPEngine:
         from repro.core.epp_batch import BatchEPPBackend, default_batch_size
 
         # Cache keyed by the *effective* configuration: a one-off explicit
-        # batch_size/prune/schedule/cells/chunking/rows must not stick to
-        # later default calls.
+        # batch_size/prune/schedule must not stick to later default calls.
         resolved = config.resolved()
         effective = (
             resolved.batch_size if resolved.batch_size is not None
             else default_batch_size(self.compiled.n),
             resolved.prune,
             resolved.schedule,
-            resolved.cells,
-            resolved.chunking,
-            resolved.rows,
         )
         backend = self._vector_backend
         if backend is None or (
-            backend.batch_size, backend.prune, backend.schedule,
-            backend.cells, backend.chunking, backend.rows,
+            backend.batch_size, backend.prune, backend.schedule
         ) != effective:
             backend = BatchEPPBackend(
                 self.compiled,
@@ -471,9 +466,6 @@ class EPPEngine:
         batch_size: int | None = None,
         prune: bool | None = None,
         schedule: str | None = None,
-        cells: str | None = None,
-        chunking: str | None = None,
-        rows: str | None = None,
         retries: int | None = None,
         shard_timeout: float | None = None,
         on_failure: str | None = None,
@@ -502,8 +494,7 @@ class EPPEngine:
         if config is None:
             config = AnalysisConfig(
                 backend="sharded", jobs=jobs, batch_size=batch_size,
-                prune=prune, schedule=schedule, cells=cells,
-                chunking=chunking, rows=rows, retries=retries,
+                prune=prune, schedule=schedule, retries=retries,
                 shard_timeout=shard_timeout, on_failure=on_failure,
                 deadline=deadline, fault_injector=fault_injector,
                 checkpoint=checkpoint,
@@ -515,9 +506,6 @@ class EPPEngine:
         batch_size: int | None = None,
         prune: bool | None = None,
         schedule: str | None = None,
-        cells: str | None = None,
-        chunking: str | None = None,
-        rows: str | None = None,
         config: AnalysisConfig | None = None,
     ):
         """The batched NumPy backend bound to this engine (public access).
@@ -527,14 +515,13 @@ class EPPEngine:
         reaching into engine internals; raises
         :class:`~repro.errors.AnalysisError` when NumPy is unavailable.
         The instance is cached per effective
-        (batch size, prune, schedule, cells, chunking) configuration.
+        (batch size, prune, schedule) configuration.
         """
         self._check_current()
         self._resolve_backend("vector")
         if config is None:
             config = AnalysisConfig(
                 batch_size=batch_size, prune=prune, schedule=schedule,
-                cells=cells, chunking=chunking, rows=rows,
             )
         return self._get_vector_backend(config)
 
@@ -603,18 +590,8 @@ class EPPEngine:
         multi-chunk site lists so chunks share fanout cones and the
         pruned sweep's unions stay small).  Both apply to the vector and
         sharded backends; the scalar path ignores them (it is already
-        per-cone by construction).  ``cells`` picks the cell-compaction
-        mode of pruned sweeps (``"auto"``/``"on"``/``"off"``: the default
-        cost model gathers and computes only the on-path (row, column)
-        cells of sufficiently sparse gate groups) and ``chunking`` the
-        chunk-width strategy (``"auto"``/``"adaptive"``/``"fixed"``: the
-        default splits cone-clustered chunks whose union-of-cones
-        saturates).  ``rows`` picks the state-matrix layout of pruned
-        sweeps (``"auto"``/``"compact"``/``"full"``: the default
-        allocates per-chunk buffers with only the union-of-cones rows
-        through a cached row remap, eliminating the full-template
-        restore; ``"full"`` keeps the PR-4 full-circuit buffers) — all
-        bit-identical; they change how much is computed, never any value.
+        per-cone by construction).  Both are bit-identical; they change
+        how much is computed, never any value.
 
         The resilience knobs apply to the sharded backend only (like
         ``jobs``): ``retries`` is the extra attempts allowed per failed

@@ -19,48 +19,42 @@ sites of a chunk at once:
   ``(n_nodes, 4, batch_size)`` state matrix stays memory-bounded on
   20k+-gate circuits, and on multi-core hosts the NumPy sweep of the next
   chunk overlaps the Python-side result packaging of the previous one;
-* the sweep is *cone-aware* (``prune="auto"``, the default): a running
-  union-of-cones vector marks which node rows are on-path for *any*
-  column, every gate group is sliced down to those active rows before its
-  kernel runs, and all levels at or below the chunk's minimum site level
-  are skipped outright — so the per-level kernel calls shrink to the
-  union of the chunk's fanout cones instead of the full circuit.  Since
-  each retained row computes exactly what the dense sweep computed, the
-  pruned sweep is bit-identical to the dense one.  ``"auto"`` also runs
-  the *dense fallback*: chunks whose union-of-cones signature covers most
-  sinks of a small circuit (pruning can only discover that everything is
-  active) skip the bookkeeping and sweep dense;
-* inside active rows the sweep is *cell-compacted* (``cells="auto"``,
-  the default): on clustered chunks only a few percent of an active
-  row's columns are on-path, so groups below the calibrated density
-  threshold gather exactly their on-path (row, column) cells, compute
-  them as one ``(m, 4)`` block through the compacted kernels of
+* the sweep is *cone-aware* (``prune="auto"``, the default): every gate
+  group is sliced down to the rows on the union of the chunk's fanout
+  cones before its kernel runs, and all levels at or below the chunk's
+  minimum site level are skipped outright — so the per-level kernel
+  calls shrink to the union of the chunk's fanout cones instead of the
+  full circuit.  Since each retained row computes exactly what the dense
+  sweep computed, the pruned sweep is bit-identical to the dense one.
+  ``"auto"`` also runs the *dense fallback*: chunks whose union-of-cones
+  signature covers most sinks of a small circuit (pruning can only
+  discover that everything is active) skip the bookkeeping and sweep
+  dense;
+* pruned sweeps run on *compacted state matrices*: instead of the full
+  ``(n + 2, 4, batch)`` buffer, each chunk allocates state/mask with only
+  its union-of-cones rows — plus the fanin rows those gates read and the
+  sentinel rows — through a cached per-chunk row remap
+  (:meth:`BatchPlan.compact_chunk_plan`), so every gather, kernel and
+  scatter indexes the small matrix and the sink reduction walks only the
+  sinks the chunk can reach.  The remap is pure indexing — each computed
+  cell runs the same elementwise IEEE ops;
+* inside active rows the sweep is *cell-compacted* by a per-group cost
+  model: on clustered chunks only a few percent of an active row's
+  columns are on-path, so groups below the calibrated density threshold
+  gather exactly their on-path (row, column) cells, compute them as one
+  ``(m, 4)`` block through the compacted kernels of
   :func:`~repro.core.rules_vec.compact_rule_for`, and scatter the block
-  back into the sentinel-padded dense state — bit-identical again, the
-  kernels run the same elementwise IEEE ops per computed cell;
-* pruned sweeps run on *compacted state matrices* (``rows="auto"``, the
-  default): instead of the full ``(n + 2, 4, batch)`` buffer, each chunk
-  allocates state/mask with only its union-of-cones rows — plus the
-  fanin rows those gates read and the sentinel rows — through a cached
-  per-chunk row remap (:meth:`BatchPlan.compact_chunk_plan`), so every
-  gather, kernel and scatter indexes the small matrix, the off-path
-  template and its dirty-row restore disappear entirely for pruned
-  sweeps, and the sink reduction walks only the sinks the chunk can
-  reach.  The remap is pure indexing — each computed cell runs the same
-  elementwise IEEE ops — so compacted sweeps are bit-identical to
-  full-row ones (``rows="full"`` restores the PR-4 layout);
+  back — bit-identical again, the kernels run the same elementwise IEEE
+  ops per computed cell;
 * which sites share a chunk is decided by the scheduling layer
   (:mod:`repro.core.schedule`): ``schedule="cone"`` (the ``auto`` default
   for multi-chunk calls) clusters sites with overlapping fanout cones so
   each chunk's union-of-cones — the pruned sweep's cost — stays small;
   ``schedule="input"`` keeps the caller's order (the pre-scheduling
-  contiguous chunking).  Chunk *widths* are cost-modelled too:
-  ``chunking="adaptive"`` aligns chunk boundaries to cluster boundaries
-  so disjoint cone unions never share a sweep, while the calibrated
-  ``"auto"`` default keeps full-width chunks — on the measured
-  workloads each extra chunk's width-independent overhead outweighs the
-  smaller unions it buys.  Scheduling is a pure permutation; results
-  are always returned in input order.
+  contiguous chunking).  Chunks are ``batch_size`` wide, widened when
+  every chunk is guaranteed a compacted sweep (see
+  :meth:`BatchEPPBackend._chunk_spans`).  Scheduling is a pure
+  permutation; results are always returned in input order.
 
 Results are bit-compatible with the scalar engine up to floating-point
 reassociation (the per-sink survival product and per-group reductions run
@@ -85,15 +79,11 @@ from repro.core.rules_vec import compact_rule_for, gather_rule_for
 from repro.core.schedule import (
     PRUNE_AUTO_MAX_NODES,
     ChunkCache,
-    adaptive_chunk_spans,
     chunk_cache_key,
     chunk_prune_saturated,
     cone_cluster_order,
     resolve_prune,
     resolve_schedule,
-    validate_cells,
-    validate_chunking,
-    validate_rows,
     validate_schedule,
 )
 from repro.netlist.circuit import CompiledCircuit
@@ -129,7 +119,7 @@ _STATE_BYTES_TARGET = 256 << 20
 _MIN_VECTOR_WORK = 50_000
 
 #: Per-cell cost of a compacted kernel relative to a dense one — the
-#: ``cells="auto"`` threshold: a group runs compacted when
+#: cell-compaction threshold: a group runs compacted when
 #: ``on_cells * factor < rows * columns``.  The compacted gather pays
 #: fancy indexing per pin per plane where the dense kernel reads
 #: contiguous planes, so a compacted cell costs a small multiple of a
@@ -141,14 +131,12 @@ _MIN_VECTOR_WORK = 50_000
 _CELL_FACTOR_CLOSED = 4
 _CELL_FACTOR_TABLE = 2
 
-#: Width multiplier (halves) for ``chunking="auto"`` when every chunk is
-#: guaranteed a *compacted* sweep (``rows`` resolves to compact and
-#: pruning cannot fall back to dense): the PR-4 calibration pinned
-#: full-width chunks because each extra chunk cost ~40-80 ms of
-#: width-independent overhead, most of it the full-template dirty-row
-#: restore — which compacted state matrices (and their reusable arenas)
-#: eliminate outright, so the same budget buys wider chunks without the
-#: full-row memory blow-up.  Measured on s9234/s38417 full-circuit runs,
+#: Width multiplier (halves) for chunk spans when every chunk is
+#: guaranteed a *compacted* sweep (pruning cannot fall back to dense):
+#: full-row sweeps pay a width-independent template reset per chunk,
+#: which compacted state matrices (and their reusable arenas) eliminate
+#: outright, so the same budget buys wider chunks without the full-row
+#: memory blow-up.  Measured on s9234/s38417 full-circuit runs,
 #: 1.5x is the sweet spot (8-9% over full width; by 3x the growing
 #: per-chunk unions overtake the saved fixed costs and clustered
 #: workloads regress outright).  ``_compact_spans`` still splits any
@@ -192,6 +180,39 @@ _PAD_ONE_CODES = frozenset((CODE_AND, CODE_NAND))
 _CLOSED_FORM_CODES = _PADDABLE_CODES | frozenset((CODE_NOT, CODE_BUF))
 
 
+def _site_columns(site_rows: np.ndarray) -> dict[int, list[int]]:
+    """Columns to re-inject per state row that is itself a site of the
+    chunk (a row scatter writes SP constants over them)."""
+    site_cols: dict[int, list[int]] = {}
+    for col, row in enumerate(site_rows.tolist()):
+        site_cols.setdefault(row, []).append(col)
+    return site_cols
+
+
+def _scatter_rows(state, mask, out_ids, out_mask, result, const, site_cols):
+    """Write a row kernel's ``result`` into partially on-path rows.
+
+    Off-path columns take their broadcast SP constant — cheaper than
+    gathering the previous output state back out — and the injected 1(a)
+    of any site row is restored afterwards (a site is never on-path for
+    its own column).
+    """
+    state[out_ids] = np.where(
+        out_mask[:, None, :], result, const[out_ids][:, :, None]
+    )
+    mask[out_ids] = out_mask
+    for row in out_ids.tolist():
+        columns = site_cols.get(row)
+        if columns is None:
+            continue
+        for col in columns:
+            state[row, 0, col] = 1.0
+            state[row, 1, col] = 0.0
+            state[row, 2, col] = 0.0
+            state[row, 3, col] = 0.0
+            mask[row, col] = True
+
+
 class CompactChunkPlan:
     """One chunk's union-of-cones row remap (the compacted state layout).
 
@@ -204,7 +225,7 @@ class CompactChunkPlan:
     translated into that compact row space, so the kernels of
     :mod:`repro.core.rules_vec` index the small matrix unchanged.  The
     remap is pure indexing: each computed cell runs exactly the ops the
-    full-row sweep ran, so compacted results are bit-identical.
+    dense sweep ran, so compacted results are bit-identical.
 
     Attributes
     ----------
@@ -224,7 +245,7 @@ class CompactChunkPlan:
         matrix, and their positions into ``BatchPlan.sink_ids`` — absent
         sinks are off-path for every column by construction, so the
         sink-pair reduction over the present subset selects exactly the
-        pairs the full-row reduction selected, in the same order.
+        pairs the dense reduction selected, in the same order.
     """
 
     __slots__ = (
@@ -281,8 +302,8 @@ class BatchPlan:
         """The (cached) compacted-row plan for one chunk of sites.
 
         One vectorized forward-reachability pass over the level groups —
-        the same per-group ``any`` tests the full-row pruned sweep runs
-        incrementally, now run once per distinct chunk and memoized:
+        a per-group ``any`` test of the fanins against the running
+        union of cones — run once per distinct chunk and memoized:
         repeated sweeps of the same chunk (benchmark repeats, long-lived
         analyzers re-analyzing a module) skip straight to the remapped
         index arrays.  Built through ``get_or_create`` so concurrent
@@ -295,8 +316,8 @@ class BatchPlan:
 
     def _build_compact_chunk_plan(self, site_ids: np.ndarray) -> CompactChunkPlan:
         total = self.n + 2
-        # reach: on the union of the chunk's fanout cones (what the full
-        # sweep calls on_path); needed: additionally every row an active
+        # reach: on the union of the chunk's fanout cones (on-path for
+        # some column); needed: additionally every row an active
         # group *reads* — off-path fanins supply their SP constants, so
         # they must exist in the compacted matrix too.
         reach = np.zeros(total, dtype=bool)
@@ -312,12 +333,10 @@ class BatchPlan:
                 active = np.nonzero(reach[group.fanin].any(axis=1))[0]
                 if active.size == 0:
                     continue
-                # The full sweep's 7/8 heuristic, mirrored: slicing a
-                # nearly-fully-active group trades the few rows it skips
-                # for fancy-indexed copies, so such groups keep their
-                # full rectangular block (their inactive rows join the
-                # matrix as writable SP-constant rows, exactly as the
-                # full-row sweep scatters them).
+                # Slicing a nearly-fully-active group trades the few
+                # rows it skips for fancy-indexed copies, so such groups
+                # keep their full rectangular block (their inactive rows
+                # join the matrix as writable SP-constant rows).
                 if active.size <= (len(group.out_ids) * 7) // 8:
                     out_ids = group.out_ids[active]
                     fanin = group.fanin[active]
@@ -392,47 +411,11 @@ class BatchEPPBackend:
         Chunk scheduling strategy (see :mod:`repro.core.schedule`):
         ``"auto"`` (default, also ``None``) cone-clusters multi-chunk site
         lists, ``"cone"`` always clusters, ``"input"`` keeps caller order.
-    cells:
-        Cell-compaction mode for pruned sweeps: ``"auto"`` (default, also
-        ``None``) lets the per-group cost model choose — a group whose
-        on-path cell count times the kernel's calibrated cost factor is
-        below its dense cell count gathers only the on-path
-        (row, column) cells and computes them through the compacted
-        kernels of :func:`~repro.core.rules_vec.compact_rule_for`;
-        ``"on"`` forces compaction for every partially-on-path group,
-        ``"off"`` keeps the PR-3 row-sparse kernels.  Bit-identical
-        either way (same elementwise IEEE ops per computed cell).
-    chunking:
-        Chunk-width strategy: ``"adaptive"`` aligns chunk boundaries to
-        cone-cluster boundaries with
-        :func:`~repro.core.schedule.adaptive_chunk_spans` (disjoint
-        cluster runs get their own chunks, coherent runs keep the full
-        ``batch_size`` width); ``"fixed"`` is flat slicing.  ``"auto"``
-        (default, also ``None``) applies the *calibrated* policy — fixed
-        full-width chunks, because on the measured workloads every extra
-        chunk costs more width-independent overhead (dispatch, buffer
-        restore, sink reduction) than its smaller union saves once the
-        cell-compacted tier caps kernel FLOPs (see :meth:`_chunk_spans`).
-        When every chunk is *guaranteed* a compacted sweep (see ``rows``)
-        the recalibrated ``auto`` policy widens chunks by
-        :data:`_COMPACT_WIDTH_HALVES`/2 instead — the restore overhead
-        that penalized chunk count is gone, and ``_compact_spans`` splits
-        any span whose union-of-cones footprint would exceed the
-        state-byte budget.  Pure scheduling — any span partition is bit-identical
-        per site.
-    rows:
-        State-matrix row layout for *pruned* sweeps: ``"compact"``
-        allocates per-chunk state/mask buffers with only the chunk's
-        union-of-cones rows (plus read-only fanin rows and sentinels),
-        indexed through the cached row remap of
-        :meth:`BatchPlan.compact_chunk_plan` — no off-path template is
-        materialized and no dirty-row restore ever runs for those
-        sweeps.  ``"full"`` keeps the PR-4 full-circuit buffers with the
-        dirty-row incremental reset.  ``"auto"`` (default, also ``None``)
-        is the calibrated policy — compact for every pruned sweep.
-        Dense sweeps (``prune=False`` or the saturated-chunk fallback)
-        always use full-row buffers, whose union is the circuit itself.
-        Bit-identical across all three: the remap only renames rows.
+
+    Pruned sweeps always run on compacted union-of-cones state matrices
+    with the cell-compaction cost model; dense sweeps (``prune=False`` or
+    the saturated-chunk fallback) run on full-row slot buffers, whose
+    union is the circuit itself.
     """
 
     def __init__(
@@ -445,9 +428,6 @@ class BatchEPPBackend:
         scalar_fallback=None,
         prune: bool | None = None,
         schedule: str | None = None,
-        cells: str | None = None,
-        chunking: str | None = None,
-        rows: str | None = None,
     ):
         self.compiled = compiled
         self.plan = BatchPlan.for_compiled(compiled)
@@ -463,16 +443,12 @@ class BatchEPPBackend:
         self.scalar_fallback = scalar_fallback
         self.prune = resolve_prune(prune)
         self.schedule = validate_schedule(schedule)
-        self.cells = validate_cells(cells)
-        self.chunking = validate_chunking(chunking)
-        self.rows = validate_rows(rows)
         #: Cumulative execution counters, updated by every sweep: chunk
-        #: accounting (``chunks`` / ``chunk_splits`` — extra spans the
-        #: adaptive splitter emitted over fixed slicing;
-        #: ``dense_fallback_sweeps`` — chunks ``prune="auto"`` ran dense;
+        #: accounting (``chunks``; ``dense_fallback_sweeps`` — chunks
+        #: ``prune="auto"`` ran dense;
         #: ``compact_sweeps`` / ``compact_rows`` — sweeps on compacted
         #: union-of-cones state matrices and the total compact rows they
-        #: allocated, vs ``n + 2`` per full-row sweep),
+        #: allocated, vs ``n + 2`` per dense sweep),
         #: per-tier group counts (``groups_dense`` / ``groups_row`` /
         #: ``groups_cell``) and cell accounting over *pruned* groups
         #: (``cells_on`` on-path cells, ``cells_total`` cells spanned,
@@ -487,7 +463,6 @@ class BatchEPPBackend:
             "compact_sweeps": 0,
             "compact_rows": 0,
             "chunks": 0,
-            "chunk_splits": 0,
             "groups_dense": 0,
             "groups_row": 0,
             "groups_cell": 0,
@@ -509,7 +484,7 @@ class BatchEPPBackend:
         #: the largest chunk seen, reused across sweeps so the hot path
         #: never re-faults fresh pages.  Every compacted sweep fully
         #: seeds its state and clears its mask, so stale content between
-        #: sweeps is harmless (no dirty tracking needed, by construction).
+        #: sweeps is harmless.
         self._compact_arenas: dict[int, list[np.ndarray]] = {}
 
     def _ensure_const(self) -> None:
@@ -532,7 +507,7 @@ class BatchEPPBackend:
 
     def _ensure_state_arrays(self) -> None:
         """Const vector plus the full-width off-path template the
-        *full-row* sweeps memcpy their state from.  Backends whose every
+        dense sweeps memcpy their state from.  Backends whose every
         sweep is compacted never materialize the template at all."""
         self._ensure_const()
         if self._template is not None:
@@ -550,53 +525,19 @@ class BatchEPPBackend:
         """Reusable (state, mask) buffer views, reset to the off-path
         template; ``slot`` double-buffers the pipeline so a sweep can fill
         one pair while the collector reads the other.  Narrow final chunks
-        reuse a full-width buffer's prefix.
-
-        The reset is *dirty-row incremental*: a pruned sweep can only
-        write rows on its union-of-cones, and it records them in the
-        slot's dirty set on completion — so instead of memcpy'ing the
-        whole ``(n + 2, 4, batch_size)`` template (the dominant fixed
-        cost of clustered sweeps on large circuits), the next sweep of
-        the slot restores exactly the rows the previous sweep touched.
-        The invariant: outside a running sweep the full-width buffer
-        always equals the template with an all-``False`` mask.  Dense
-        sweeps (which write every gate row) leave the dirty set as
-        ``None`` — a full reset.
-        """
-        entry = self._buffer_slots.get(slot)
-        if entry is None:
-            entry = [
+        reuse a full-width buffer's prefix.  The reset is a full template
+        copy, so a sweep that died mid-flight leaves nothing behind."""
+        buffers = self._buffer_slots.get(slot)
+        if buffers is None:
+            buffers = (
                 np.empty((self._rows, 4, self.batch_size)),
                 np.empty((self._rows, self.batch_size), dtype=bool),
-                None,  # dirty rows of the last sweep (None: whole buffer)
-            ]
-            self._buffer_slots[slot] = entry
-        state, mask, dirty = entry
-        if dirty is None or dirty.size * 2 > self._rows:
-            # Saturated sweeps dirty most rows; a flat memcpy beats a
-            # fancy-indexed restore well before that point.
-            np.copyto(state, self._template)
-            mask[:] = False
-        else:
-            # Restore the full width of each dirty row: columns beyond the
-            # previous sweep's width were never written and stay clean.
-            state[dirty] = self._template[dirty]
-            mask[dirty] = False
-        # From here until ``_mark_dirty`` runs, the buffer's content is
-        # *unknown*: the upcoming sweep writes rows of its own union as it
-        # goes, and if it dies mid-flight (a raising kernel, an interrupt)
-        # the previous dirty set would describe a buffer it no longer
-        # matches — the next restore would skip the half-written rows and
-        # compute on stale state.  Invalidate now; only a *completed*
-        # sweep re-records its dirty rows.
-        entry[2] = None
+            )
+            self._buffer_slots[slot] = buffers
+        state, mask = buffers
+        np.copyto(state, self._template)
+        mask[:] = False
         return state[:, :, :s], mask[:, :s]
-
-    def _mark_dirty(self, slot: int, dirty) -> None:
-        """Record which rows the finished sweep of ``slot`` wrote."""
-        entry = self._buffer_slots.get(slot)
-        if entry is not None:
-            entry[2] = dirty
 
     def _chunk_saturated(self, site_ids: np.ndarray) -> bool:
         """The ``prune="auto"`` saturation verdict, memoized per chunk.
@@ -620,9 +561,9 @@ class BatchEPPBackend:
 
         Returns ``(state, mask, sinks)``: the four-valued state matrix,
         the on-path membership bitmask, and the sink translation of the
-        layout the sweep ran on — ``None`` for full-row sweeps (state is
+        layout the sweep ran on — ``None`` for dense sweeps (state is
         ``(n + 2, 4, s)``, sinks are ``plan.sink_ids``), or the chunk
-        plan's ``(sink_rows, sink_positions)`` pair for compacted sweeps
+        plan's ``(sink_rows, sink_positions)`` pair for pruned sweeps
         (state is ``(n_rows, 4, s)`` over the union-of-cones remap).
         """
         stats = self.sweep_stats
@@ -635,14 +576,11 @@ class BatchEPPBackend:
             prune = not self._chunk_saturated(site_ids)
             if not prune:
                 stats["dense_fallback_sweeps"] += 1
-        if prune and self.rows != "full":
-            # The calibrated rows="auto" policy is compact for every
-            # pruned sweep: same active rows, same kernels, a smaller
-            # matrix — and no template restore to pay next time.
+        if prune:
             return self._sweep_compact(
                 site_ids, self.plan.compact_chunk_plan(site_ids), slot
             )
-        return self._sweep_full(site_ids, slot, prune)
+        return self._sweep_dense(site_ids, slot)
 
     def _compact_buffers(
         self, n_rows: int, s: int, slot: int
@@ -676,12 +614,13 @@ class BatchEPPBackend:
 
         Carves ``(n_rows, 4, s)`` state out of the slot arena and seeds it
         from the gathered off-path constants (the whole "buffer reset" —
-        proportional to the compact size, with no full-width template or
-        dirty tracking), then runs exactly the full-row pruned sweep's
-        tier logic with every index array pre-translated to compact row
-        space.  Per computed cell the kernels run the same elementwise
-        IEEE ops, so the packed results are bit-identical to the full-row
-        sweep's.
+        proportional to the compact size, with no full-width template),
+        then sweeps the chunk plan's active groups, every index array
+        pre-translated to compact row space.  Each group runs either the
+        cell-compacted tier or the row kernels, as the per-group cost
+        model picks.  Per computed cell the kernels run the same
+        elementwise IEEE ops as the dense sweep, so the packed results are
+        bit-identical to it.
         """
         s = len(site_ids)
         self._ensure_const()
@@ -693,18 +632,13 @@ class BatchEPPBackend:
         # The error site carries the erroneous value with certainty: 1(a).
         state[site_rows, :, cols] = (1.0, 0.0, 0.0, 0.0)
         mask[site_rows, cols] = True
-        # Columns to re-inject when a group's output row is itself a site
-        # in this chunk (the scatter writes SP constants over them) —
-        # keyed by *compact* row, the space every group index lives in.
-        site_cols: dict[int, list[int]] = {}
-        for col, row in enumerate(site_rows.tolist()):
-            site_cols.setdefault(row, []).append(col)
+        # Keyed by *compact* row, the space every group index lives in.
+        site_cols = _site_columns(site_rows)
 
         track_polarity = self.track_polarity
         stats = self.sweep_stats
         stats["compact_sweeps"] += 1
         stats["compact_rows"] += cplan.n_rows
-        cells = self.cells
         for group, out_ids, fanin in cplan.groups:
             out_mask = mask[fanin].any(axis=1)  # (r, s)
             n_on = int(out_mask.sum())
@@ -712,14 +646,14 @@ class BatchEPPBackend:
                 continue
             stats["cells_on"] += n_on
             stats["cells_total"] += out_mask.size
-            if cells != "off" and n_on < out_mask.size and (
-                cells == "on" or n_on * group.cell_factor < out_mask.size
-            ):
-                # Cell-compacted tier, unchanged from the full-row sweep:
-                # gather exactly the on-path (row, column) cells, compute
-                # them as one (m, 4) block, scatter back.  Off-path cells
-                # keep their seeded SP constants and a site row's own
-                # column is never on-path for itself.
+            if n_on * group.cell_factor < out_mask.size:
+                # Cell-compacted tier: even inside active rows only a few
+                # columns are on-path on clustered chunks, so gather
+                # exactly those (row, column) cells, compute them as one
+                # (m, 4) block and scatter back.  Off-path cells keep
+                # their seeded SP constants (each node is written at most
+                # once per sweep), and a site row's own column is never
+                # on-path for itself, so the injected 1(a) survives.
                 on_rows, on_cols = np.nonzero(out_mask)
                 cell_values = group.compact_rule(
                     state, fanin[on_rows], on_cols
@@ -744,36 +678,27 @@ class BatchEPPBackend:
                 mask[out_ids] = True
                 continue
             if n_on * 8 < out_mask.size:
-                # Targeted scatter for column-sparse groups (see the
-                # full-row sweep): off-path cells already hold their SP
-                # constants from the seed.
+                # Targeted scatter for column-sparse groups: off-path
+                # cells already hold their SP constants from the seed, so
+                # only the on-path cells need a write — which also never
+                # touches a site row's own column.  Column-dense groups
+                # fall through to the row-vectorized ``np.where``
+                # scatter, which beats per-element fancy indexing there.
                 on_rows, on_cols = np.nonzero(out_mask)
                 node_rows = out_ids[on_rows]
                 state[node_rows, :, on_cols] = result[on_rows, :, on_cols]
                 mask[node_rows, on_cols] = True
                 continue
-            state[out_ids] = np.where(
-                out_mask[:, None, :], result, const[out_ids][:, :, None]
+            _scatter_rows(
+                state, mask, out_ids, out_mask, result, const, site_cols
             )
-            mask[out_ids] = out_mask
-            for row in out_ids.tolist():
-                columns = site_cols.get(row)
-                if columns is None:
-                    continue
-                # Restore the injected 1(a) the scatter just overwrote
-                # (a site is never on-path for its own column).
-                for col in columns:
-                    state[row, 0, col] = 1.0
-                    state[row, 1, col] = 0.0
-                    state[row, 2, col] = 0.0
-                    state[row, 3, col] = 0.0
-                    mask[row, col] = True
         return state, mask, (cplan.sink_rows, cplan.sink_positions)
 
-    def _sweep_full(self, site_ids: np.ndarray, slot: int, prune: bool):
-        """The full-row sweep: ``(n + 2, 4, s)`` slot buffers, dirty-row
-        restore, and — when ``prune`` — the incrementally-maintained
-        union-of-cones row pruning of PR 3/4."""
+    def _sweep_dense(self, site_ids: np.ndarray, slot: int):
+        """The dense full-circuit sweep on ``(n + 2, 4, s)`` slot buffers:
+        every gate group with an on-path fanin somewhere runs its row
+        kernel over all of its rows — the reference the pruned sweep is
+        pinned bit-identical against."""
         s = len(site_ids)
         self._ensure_state_arrays()
         state, mask = self._buffers(s, slot)
@@ -781,96 +706,24 @@ class BatchEPPBackend:
         # The error site carries the erroneous value with certainty: 1(a).
         state[site_ids, :, cols] = (1.0, 0.0, 0.0, 0.0)
         mask[site_ids, cols] = True
-        # Columns to re-inject when a group's output node is itself a site
-        # in this chunk (the scatter writes SP constants over them).
-        site_cols: dict[int, list[int]] = {}
-        for col, site_id in enumerate(site_ids.tolist()):
-            site_cols.setdefault(site_id, []).append(col)
+        site_cols = _site_columns(site_ids)
 
         track_polarity = self.track_polarity
         const = self._const
         stats = self.sweep_stats
-        cells = self.cells if prune else "off"
-        if prune:
-            # Union-of-cones, maintained incrementally: on_path[i] is True
-            # iff row i is on-path for *some* column (= mask[i].any()).  A
-            # gate row can only be active when some fanin is on-path
-            # somewhere, so testing the (g, k) union vector first avoids
-            # gathering the full (g, k, s) mask block for rows whose
-            # fanins are all-off everywhere — and since on_path is exact,
-            # the surviving candidate rows are exactly the active rows.
-            on_path = np.zeros(self._rows, dtype=bool)
-            on_path[site_ids] = True
-            # No gate at or below the chunk's minimum site level can have
-            # an on-path fanin (cone members sit strictly above their
-            # site's level), so those levels are skipped outright.
-            min_site_level = int(self.plan.node_level[site_ids].min())
-        for level, groups in self.plan.levels:
-            if prune and level <= min_site_level:
-                continue
+        for _, groups in self.plan.levels:
             for group in groups:
                 out_ids = group.out_ids
                 fanin = group.fanin
-                if prune:
-                    active = np.nonzero(on_path[fanin].any(axis=1))[0]
-                    if active.size == 0:
-                        continue  # whole group off-path everywhere
-                    # Slice only when it pays: a nearly-fully-active group
-                    # would trade the rows it skips for two fancy-index
-                    # copies, so it runs dense (on_path stays exact either
-                    # way — the active set *is* out_mask.any(axis=1)).
-                    if active.size <= (len(out_ids) * 7) // 8:
-                        out_ids = out_ids[active]
-                        fanin = fanin[active]
-                        on_path[out_ids] = True
-                    else:
-                        on_path[out_ids[active]] = True
-                    out_mask = mask[fanin].any(axis=1)  # (r, s)
-                    n_on = int(out_mask.sum())
-                    stats["cells_on"] += n_on
-                    stats["cells_total"] += out_mask.size
-                    if cells != "off" and n_on < out_mask.size and (
-                        cells == "on"
-                        or n_on * group.cell_factor < out_mask.size
-                    ):
-                        # Cell-compacted tier: even inside active rows only
-                        # a few columns are on-path on clustered chunks, so
-                        # gather exactly those (row, column) cells, compute
-                        # them as one (m, 4) block and scatter back into the
-                        # sentinel-padded dense state.  Off-path cells keep
-                        # their template SP constants (each node is written
-                        # at most once per sweep), and a site row's own
-                        # column is never on-path, so the injected 1(a)
-                        # survives untouched — the same invariants the
-                        # targeted scatter below relies on.
-                        on_rows, on_cols = np.nonzero(out_mask)
-                        cell_values = group.compact_rule(
-                            state, fanin[on_rows], on_cols
-                        )  # (m, 4)
-                        if not track_polarity:
-                            cell_values[:, 0] += cell_values[:, 1]
-                            cell_values[:, 1] = 0.0
-                        node_rows = out_ids[on_rows]
-                        state[node_rows, :, on_cols] = cell_values
-                        mask[node_rows, on_cols] = True
-                        stats["groups_cell"] += 1
-                        stats["cells_computed"] += n_on
-                        continue
-                    stats["groups_row"] += 1
-                    stats["cells_computed"] += out_mask.size
-                else:
-                    out_mask = mask[fanin].any(axis=1)  # (g, s)
-                    if not out_mask.any():
-                        continue  # whole group off-path: SP constants hold
-                    stats["groups_dense"] += 1
-                    # Dense sweeps get their own cell counter: folding
-                    # them into cells_computed (without the on/total pair
-                    # the pruned tiers track) let the computed fraction
-                    # exceed 1, and counting on-cells here would put an
-                    # out_mask.sum() on the dense reference path purely
-                    # for bookkeeping.
-                    stats["cells_dense"] += out_mask.size
-                result = group.rule(state, fanin)  # (r, 4, s)
+                out_mask = mask[fanin].any(axis=1)  # (g, s)
+                if not out_mask.any():
+                    continue  # whole group off-path: SP constants hold
+                stats["groups_dense"] += 1
+                # Dense sweeps get their own cell counter: their on-cell
+                # count is never measured, so folding them into the
+                # pruned on/total pair would corrupt the density ratios.
+                stats["cells_dense"] += out_mask.size
+                result = group.rule(state, fanin)  # (g, 4, s)
                 if not track_polarity:
                     result[:, 0, :] += result[:, 1, :]
                     result[:, 1, :] = 0.0
@@ -880,45 +733,9 @@ class BatchEPPBackend:
                     state[out_ids] = result
                     mask[out_ids] = True
                     continue
-                if prune and n_on * 8 < out_mask.size:
-                    # Targeted scatter for column-sparse groups: every
-                    # off-path cell already holds its SP constant (the
-                    # chunk state is seeded from the constants template and
-                    # each node is written at most once per sweep), so only
-                    # the on-path cells need a write.  This also never
-                    # touches a site row's own column — no 1(a)
-                    # re-injection required.  Column-dense groups fall
-                    # through to the row-vectorized ``np.where`` scatter,
-                    # which beats per-element fancy indexing there.
-                    on_rows, on_cols = np.nonzero(out_mask)
-                    node_rows = out_ids[on_rows]
-                    state[node_rows, :, on_cols] = result[on_rows, :, on_cols]
-                    mask[node_rows, on_cols] = True
-                    continue
-                # Off-path columns take their broadcast SP constant — cheaper
-                # than gathering the previous output state back out.
-                state[out_ids] = np.where(
-                    out_mask[:, None, :], result, const[out_ids][:, :, None]
+                _scatter_rows(
+                    state, mask, out_ids, out_mask, result, const, site_cols
                 )
-                mask[out_ids] = out_mask
-                for node_id in out_ids.tolist():
-                    columns = site_cols.get(node_id)
-                    if columns is None:
-                        continue
-                    # Restore the injected 1(a) the scatter just overwrote
-                    # (a site is never on-path for its own column).
-                    for col in columns:
-                        state[node_id, 0, col] = 1.0
-                        state[node_id, 1, col] = 0.0
-                        state[node_id, 2, col] = 0.0
-                        state[node_id, 3, col] = 0.0
-                        mask[node_id, col] = True
-        # Hand the slot its dirty-row set: a pruned sweep writes only
-        # rows on its union-of-cones (on_path is exact), so the next
-        # sweep of this slot restores just those rows instead of the
-        # whole template.  Dense sweeps may write any gate row — full
-        # reset.
-        self._mark_dirty(slot, np.nonzero(on_path)[0] if prune else None)
         return state, mask, None
 
     def release_buffers(self) -> None:
@@ -926,10 +743,7 @@ class BatchEPPBackend:
         the double-buffered sweep/mask pairs) — the backend's ~3x
         ``_STATE_BYTES_TARGET`` resident set — plus the plan's cached
         per-chunk artifacts (compacted-row remaps, saturation verdicts).
-        Clearing the slots also drops every recorded dirty-row set with
-        them: a freshly allocated slot always starts from a full template
-        reset, never from a stale dirty entry describing buffers that no
-        longer exist.  Everything is rebuilt lazily on the next sweep, so
+        Everything is rebuilt lazily on the next sweep, so
         this is always safe to call between analyses on long-lived
         engines/analyzers."""
         self._template = None
@@ -972,32 +786,16 @@ class BatchEPPBackend:
     def _chunk_spans(self, ids: np.ndarray) -> list[tuple[int, int]]:
         """The ``(start, stop)`` spans one bulk call sweeps, in order.
 
-        ``chunking="adaptive"`` runs the boundary-aligned splitter of
-        :func:`~repro.core.schedule.adaptive_chunk_spans` (chunks close
-        at cluster boundaries once past half width, so disjoint cone
-        clusters never share a sweep; with an unclustered order it simply
-        inherits whatever locality the caller's order has); ``"fixed"``
-        is flat ``batch_size`` slicing.  The calibrated ``"auto"`` policy
-        is *fixed*: measured on the s9234/s38417 workloads
-        (``benchmarks/run_bench.py``), every extra chunk costs ~40-80 ms
-        of width-independent overhead — group dispatch, the dirty-row
-        buffer restore (which rewrites each dirty row across the full
-        buffer width regardless of the chunk's width), the per-chunk sink
-        reduction — which consistently outweighs the smaller unions a
-        split buys, so full-width chunks win wherever the cell-compacted
-        tier already caps the kernel FLOPs at the on-path cells.
+        Flat ``batch_size`` slicing, except when every chunk is
+        guaranteed a compacted sweep: then :meth:`_compact_spans` widens
+        them.  Measured on the s9234/s38417 workloads
+        (``benchmarks/run_bench.py``), every extra chunk costs
+        width-independent overhead — group dispatch, the per-chunk sink
+        reduction — which outweighs the smaller unions a narrower chunk
+        buys, so chunks are never split below ``batch_size``.
         """
         n = len(ids)
-        adaptive = self.chunking == "adaptive"
-        if adaptive and n > self.batch_size:
-            spans = adaptive_chunk_spans(self.compiled, ids, self.batch_size)
-            fixed = -(-n // self.batch_size)
-            self.sweep_stats["chunk_splits"] += len(spans) - fixed
-        elif (
-            self.chunking == "auto"
-            and n > self.batch_size
-            and self._compact_guaranteed()
-        ):
+        if n > self.batch_size and self._compact_guaranteed():
             spans = self._compact_spans(ids)
         else:
             spans = [
@@ -1009,13 +807,11 @@ class BatchEPPBackend:
 
     def _compact_guaranteed(self) -> bool:
         """Whether *every* chunk of this backend is certain to sweep on a
-        compacted state matrix — the precondition for the recalibrated
-        wide-chunk ``auto`` policy.  ``prune="auto"`` qualifies only on
-        circuits at or above :data:`~repro.core.schedule.PRUNE_AUTO_MAX_NODES`,
-        where the saturated dense fallback (which needs full-width
-        full-row buffers) can never fire."""
-        if self.rows == "full":
-            return False
+        compacted state matrix — the precondition for wide chunk spans.
+        ``prune="auto"`` qualifies only on circuits at or above
+        :data:`~repro.core.schedule.PRUNE_AUTO_MAX_NODES`, where the
+        saturated dense fallback (which needs full-width full-row
+        buffers) can never fire."""
         if self.prune is True:
             return True
         return (
@@ -1026,10 +822,9 @@ class BatchEPPBackend:
     def _compact_spans(self, ids: np.ndarray) -> list[tuple[int, int]]:
         """Wide fixed spans for guaranteed-compacted sweeps.
 
-        The PR-4 calibration kept chunks at ``batch_size`` because each
-        extra chunk paid a width-independent restore of the full
-        ``(n + 2, 4, batch)`` template; compacted sweeps pay a seed
-        proportional to their own union instead, so the same state-byte
+        Full-row sweeps pay a width-independent reset of the full
+        ``(n + 2, 4, batch)`` template per chunk; compacted sweeps pay a
+        seed proportional to their own union instead, so the same state-byte
         budget buys :data:`_COMPACT_WIDTH_HALVES`/2 wider chunks — fewer
         per-call fixed costs (dispatch, sink reductions, pack merges).
         Each candidate span's *measured* union-of-cones footprint (its
@@ -1068,11 +863,10 @@ class BatchEPPBackend:
         The shared chunking driver of every bulk query: two-stage pipeline
         where the NumPy sweep of chunk ``i+1`` (GIL released inside the
         array kernels) overlaps the Python-side consumption of chunk
-        ``i``; double buffering keeps full-row stages on disjoint slot
-        matrices (compacted sweeps allocate fresh per-chunk state, so they
-        never share buffers to begin with).  Single-chunk calls skip the
-        thread machinery.  ``sinks`` is the sweep's sink translation —
-        ``None`` for full-row layouts (see :meth:`_sweep`).
+        ``i``; double buffering keeps consecutive stages on disjoint slot
+        buffers and arenas.  Single-chunk calls skip the thread
+        machinery.  ``sinks`` is the sweep's sink translation — ``None``
+        for dense sweeps (see :meth:`_sweep`).
         """
         chunks = [ids[start:stop] for start, stop in self._chunk_spans(ids)]
         if not chunks:

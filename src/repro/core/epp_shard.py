@@ -427,24 +427,11 @@ def _worker_backend():
         from repro.core.epp_batch import BatchEPPBackend
 
         data = pickle.loads(payload)
-        if isinstance(data, tuple):
-            # Tolerant-forward: a pool initialized by a pre-config
-            # parent ships the historical bare knob tuple.
-            (compiled, signal_probs, track_polarity, batch_size, prune,
-             cells, chunking, rows) = data
-            config = AnalysisConfig(
-                batch_size=batch_size, prune=prune, schedule="input",
-                cells=cells, chunking=chunking, rows=rows,
-            )
-        else:
-            compiled = data["compiled"]
-            signal_probs = data["signal_probs"]
-            track_polarity = data["track_polarity"]
-            config = AnalysisConfig.from_wire(data["config"])
+        config = AnalysisConfig.from_wire(data["config"])
         backend = BatchEPPBackend(
-            compiled,
-            signal_probs,
-            track_polarity=track_polarity,
+            data["compiled"],
+            data["signal_probs"],
+            track_polarity=data["track_polarity"],
             min_vector_work=0,
             **config.sweep_kwargs(),
         )
@@ -563,13 +550,6 @@ class ShardedEPPEngine:
         list by :func:`~repro.core.schedule.cone_cluster_order` before the
         contiguous shard split, so shards (and the chunks inside each
         worker) share fanout cones.
-    cells / chunking / rows:
-        The cell-compaction, chunk-width and state-matrix-row-layout
-        knobs (see :class:`~repro.core.epp_batch.BatchEPPBackend`),
-        forwarded to the local backend and through the payload to every
-        worker backend — workers inherit compacted union-of-cones state
-        matrices by default, and their packed results (already flat
-        arrays, layout-independent) ship through shared memory unchanged.
     transport:
         Result wire format: ``"shm"`` (default on POSIX) ships packed
         arrays through shared-memory segments — only a tiny handle is
@@ -613,9 +593,6 @@ class ShardedEPPEngine:
         local_backend=None,
         prune: bool | None = None,
         schedule: str | None = None,
-        cells: str | None = None,
-        chunking: str | None = None,
-        rows: str | None = None,
         transport: str | None = None,
         policy: FaultPolicy | None = None,
         retries: int | None = None,
@@ -636,8 +613,8 @@ class ShardedEPPEngine:
         # the conflicting fields.
         knob_params = {
             "jobs": jobs, "batch_size": batch_size, "prune": prune,
-            "schedule": schedule, "cells": cells, "chunking": chunking,
-            "rows": rows, "retries": retries, "shard_timeout": shard_timeout,
+            "schedule": schedule, "retries": retries,
+            "shard_timeout": shard_timeout,
             "on_failure": on_failure, "deadline": deadline,
             "fault_injector": fault_injector, "checkpoint": checkpoint,
         }
@@ -670,9 +647,6 @@ class ShardedEPPEngine:
         self.shards_per_worker = max(1, int(shards_per_worker))
         self.prune = resolved.prune
         self.schedule = resolved.schedule
-        self.cells = resolved.cells
-        self.chunking = resolved.chunking
-        self.rows = resolved.rows
         if transport is None:
             transport = default_transport()
         if transport not in TRANSPORTS:
@@ -812,19 +786,15 @@ class ShardedEPPEngine:
             batch_size=self.worker_batch_size,
             prune=self.prune,
             schedule="input",
-            cells=self.cells,
-            chunking=self.chunking,
-            rows=self.rows,
         )
 
     def payload(self) -> bytes:
         """The once-pickled worker payload (cached across pool restarts).
 
-        Ships one wire-format :class:`~repro.core.config.AnalysisConfig`
-        instead of the historical bare knob tuple, so growing the knob
-        surface never re-threads this seam; :func:`_worker_backend`
-        still loads the old tuple shape (tolerant-forward), so a pool
-        initialized by an old parent keeps working.
+        Ships one wire-format :class:`~repro.core.config.AnalysisConfig`,
+        so growing the knob surface never re-threads this seam.  Workers
+        are always started by a parent from the same checkout, so the
+        payload shape needs no cross-version tolerance.
         """
         if self._payload is None:
             self._payload = pickle.dumps(

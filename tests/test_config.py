@@ -9,9 +9,9 @@ Covers the consolidation contracts:
 * canonical serialization — ``to_wire``/``from_wire`` round-trip,
   ``digest`` is stable under field order and construction path and
   distinct for distinct configs (hypothesis property tests);
-* tolerant-forward decoding — unknown wire keys are ignored outside the
-  server's strict mode, and the sharded workers still load the
-  pre-config bare knob tuple;
+* tolerant-forward decoding — unknown wire keys (including the retired
+  ``cells``/``chunking``/``rows`` sweep knobs of old records) are ignored
+  outside the server's strict mode;
 * reflection — the CLI ``analyze``/``analyze-delta``/``serve`` flag
   sets and the config field metadata are the same surface, 1:1;
 * the registry — registering a stub backend makes it reachable from
@@ -20,8 +20,6 @@ Covers the consolidation contracts:
 """
 
 from __future__ import annotations
-
-import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -115,9 +113,9 @@ class TestValidation:
 class TestDerivedTables:
     def test_knob_key_order_is_the_historical_order(self):
         assert KNOB_KEYS == (
-            "backend", "batch_size", "jobs", "prune", "schedule", "cells",
-            "chunking", "rows", "retries", "shard_timeout", "on_failure",
-            "deadline", "fault_injector", "checkpoint",
+            "backend", "batch_size", "jobs", "prune", "schedule",
+            "retries", "shard_timeout", "on_failure", "deadline",
+            "fault_injector", "checkpoint",
         )
 
     def test_wire_keys_exclude_local_only_fields(self):
@@ -131,9 +129,7 @@ class TestDerivedTables:
         )
 
     def test_sweep_keys(self):
-        assert SWEEP_KNOB_KEYS == (
-            "batch_size", "prune", "schedule", "cells", "chunking", "rows"
-        )
+        assert SWEEP_KNOB_KEYS == ("batch_size", "prune", "schedule")
 
     def test_knob_reference_covers_every_field(self):
         text = knob_reference()
@@ -141,6 +137,14 @@ class TestDerivedTables:
         for key in KNOB_KEYS:
             assert key in text
             assert f"`{key}`" in table
+
+    def test_readme_knob_table_is_generated(self):
+        """The README's knob table is exactly the generated reference
+        (regenerate with ``python -m repro knobs --markdown``)."""
+        from pathlib import Path
+
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        assert readme.read_text().count(knob_reference(markdown=True)) == 1
 
 
 # ------------------------------------------------- wire round-trip (property)
@@ -152,9 +156,6 @@ _WIRE_VALUES = {
     "jobs": st.one_of(st.none(), st.integers(1, 8)),
     "prune": st.sampled_from([None, True, False, "auto"]),
     "schedule": st.sampled_from([None, "auto", "cone", "input"]),
-    "cells": st.sampled_from([None, "auto", "on", "off"]),
-    "chunking": st.sampled_from([None, "auto", "adaptive", "fixed"]),
-    "rows": st.sampled_from([None, "auto", "compact", "full"]),
     "retries": st.one_of(st.none(), st.integers(0, 5)),
     "shard_timeout": st.one_of(st.none(), st.floats(0.1, 60.0)),
     "on_failure": st.sampled_from([None, "retry", "degrade", "raise"]),
@@ -228,29 +229,24 @@ class TestWireRoundTrip:
         assert cfg.resolved() == cfg
         assert cfg.prune == "auto" and cfg.schedule == "auto"
 
-    def test_legacy_worker_tuple_still_loads(self):
-        # A pool initialized by a pre-config parent ships the historical
-        # bare 8-tuple; the worker decodes it into a config.
-        from repro.core import epp_shard
+    def test_from_wire_ignores_retired_sweep_knobs(self):
+        # Records written while cells/chunking/rows existed still load:
+        # the retired keys are unknown now, and tolerant decoding drops
+        # them instead of failing the whole record.
+        old = {"version": 2, "batch_size": 8, "cells": "on",
+               "chunking": "adaptive", "rows": "full"}
+        cfg = AnalysisConfig.from_wire(old, strict=False)
+        assert cfg == AnalysisConfig(batch_size=8)
+        assert cfg.digest() == AnalysisConfig(batch_size=8).digest()
 
-        engine = EPPEngine(s27())
-        payload = pickle.dumps(
-            (engine.compiled, engine._sp, True, 4, "auto", "auto",
-             "auto", "auto"),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        old = epp_shard._WORKER_PAYLOAD
-        try:
-            epp_shard._shard_worker_init(payload, key="legacy-test")
-            backend = epp_shard._worker_backend()
-            site = next(iter(engine.circuit.gates))
-            result = backend.analyze_sites(
-                [engine.compiled.index[site]]
-            )
-            assert len(result) == 1
-        finally:
-            epp_shard._WORKER_PAYLOAD = old
-            epp_shard._WORKER_BACKENDS.pop("legacy-test", None)
+    @pytest.mark.parametrize("knob, value", [
+        ("cells", "on"), ("chunking", "adaptive"), ("rows", "full"),
+    ])
+    def test_retired_sweep_knobs_are_unknown(self, knob, value):
+        with pytest.raises(ConfigError, match=knob):
+            AnalysisConfig.from_knobs(**{knob: value})
+        with pytest.raises(ConfigError, match=knob):
+            AnalysisConfig.from_wire({knob: value}, strict=True)
 
 
 # --------------------------------------------------------------- reflection

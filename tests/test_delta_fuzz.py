@@ -151,15 +151,15 @@ def assert_delta_equals_full(delta):
     seed=st.integers(min_value=0, max_value=2**16),
     edit_seed=st.integers(min_value=0, max_value=2**16),
     n_edits=st.integers(min_value=1, max_value=4),
-    rows=st.sampled_from(("auto", "compact", "full")),
+    prune=st.sampled_from((None, True, False)),
     schedule=st.sampled_from(("cone", "input")),
 )
 def test_delta_bit_identical_to_full(
-    n_inputs, n_gates, seed, edit_seed, n_edits, rows, schedule
+    n_inputs, n_gates, seed, edit_seed, n_edits, prune, schedule
 ):
     circuit = random_combinational(n_inputs, n_gates, seed=seed)
     engine = EPPEngine(circuit)
-    prev = engine.snapshot(rows=rows, schedule=schedule)
+    prev = engine.snapshot(prune=prune, schedule=schedule)
     edits = draw_edits(circuit, edit_seed, n_edits)
     delta = engine.analyze_delta(prev, edits)
     assert delta.stats["dirty"] + delta.stats["reused"] == delta.stats["sites"]

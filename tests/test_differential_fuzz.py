@@ -95,10 +95,8 @@ def random_tree_circuit(seed: int, max_inputs: int = 12, n_gates: int = 12) -> C
 
 
 def force_vector(engine: EPPEngine, prune: bool | None = None,
-                 schedule: str | None = None, cells: str | None = None,
-                 chunking: str | None = None, rows: str | None = None):
-    backend = engine.vector_backend(prune=prune, schedule=schedule,
-                                    cells=cells, chunking=chunking, rows=rows)
+                 schedule: str | None = None, batch_size: int | None = None):
+    backend = engine.vector_backend(batch_size, prune=prune, schedule=schedule)
     backend.min_vector_work = 0
     return backend
 
@@ -125,25 +123,20 @@ def assert_all_sites_agree(reference: dict, candidate: dict):
     track_polarity=st.booleans(),
     prune=st.booleans(),
     schedule=st.sampled_from(("cone", "input")),
-    cells=st.sampled_from(("auto", "on", "off")),
-    chunking=st.sampled_from(("auto", "adaptive", "fixed")),
-    rows=st.sampled_from(("auto", "compact", "full")),
+    batch_size=st.sampled_from((None, 1, 3, 8)),
 )
 def test_scalar_vs_vector_agree_on_random_circuits(
-    n_inputs, n_gates, seed, track_polarity, prune, schedule, cells, chunking,
-    rows,
+    n_inputs, n_gates, seed, track_polarity, prune, schedule, batch_size,
 ):
-    """Vectorization — dense or cone-pruned, row-sparse or cell-compacted,
-    full-row or compacted-row state matrices, input-ordered or
-    cone-clustered, fixed or adaptive chunk widths — is a pure
-    reassociation: scalar == vector to 1e-9."""
+    """Vectorization — dense full-row or cone-pruned compacted-row state
+    matrices, input-ordered or cone-clustered, any chunk width — is a
+    pure reassociation: scalar == vector to 1e-9."""
     circuit = random_combinational(n_inputs, n_gates, seed=seed)
     engine = EPPEngine(circuit, track_polarity=track_polarity)
-    force_vector(engine, prune=prune, schedule=schedule, cells=cells,
-                 chunking=chunking, rows=rows)
+    force_vector(engine, prune=prune, schedule=schedule, batch_size=batch_size)
     scalar = engine.analyze(backend="scalar")
     vector = engine.analyze(backend="vector", prune=prune, schedule=schedule,
-                            cells=cells, chunking=chunking, rows=rows)
+                            batch_size=batch_size)
     assert_all_sites_agree(scalar, vector)
 
 
@@ -152,30 +145,27 @@ def test_scalar_vs_vector_agree_on_random_circuits(
     n_inputs=st.integers(min_value=3, max_value=8),
     n_gates=st.integers(min_value=8, max_value=40),
     seed=st.integers(min_value=0, max_value=2**16),
-    cells=st.sampled_from(("on", "auto")),
     batch_size=st.integers(min_value=2, max_value=9),
-    rows=st.sampled_from(("compact", "full")),
+    prune=st.sampled_from((True, None)),
+    schedule=st.sampled_from(("cone", "input")),
 )
 def test_cell_compacted_bit_equal_on_random_circuits(
-    n_inputs, n_gates, seed, cells, batch_size, rows
+    n_inputs, n_gates, seed, batch_size, prune, schedule
 ):
-    """The compacted kernels are not merely close to the dense sweep —
-    they run the same elementwise IEEE ops per computed cell, whether the
-    state matrix is the full (n + 2)-row buffer or the per-chunk
-    union-of-cones remap, so packed arrays must match np.array_equal
-    across random circuits (MUX/MAJ truth tables and sentinel-padded
-    mixed arities included)."""
+    """The pruned sweep is not merely close to the dense sweep — the
+    union-of-cones remap is pure indexing and the compacted kernels run
+    the same elementwise IEEE ops per computed cell, so packed arrays
+    must match np.array_equal across random circuits (MUX/MAJ truth
+    tables and sentinel-padded mixed arities included).  Per-kernel
+    coverage of the compacted tier lives in
+    ``tests/test_epp_backends.py::TestCompactKernels``."""
     circuit = random_combinational(n_inputs, n_gates, seed=seed)
     engine = EPPEngine(circuit)
     ids = [engine._cones.resolve(site) for site in engine.default_sites()]
-    reference = force_vector(engine, prune=False, schedule="input",
-                             cells="off", chunking="fixed", rows="full")
-    reference.batch_size = batch_size
-    expected = reference.pack_sites(ids)
-    compacted = force_vector(engine, prune=True, schedule="cone",
-                             cells=cells, chunking="adaptive", rows=rows)
-    compacted.batch_size = batch_size
-    packed = compacted.pack_sites(ids)
+    expected = force_vector(engine, prune=False, schedule="input",
+                            batch_size=batch_size).pack_sites(ids)
+    packed = force_vector(engine, prune=prune, schedule=schedule,
+                          batch_size=batch_size).pack_sites(ids)
     for left, right in zip(expected, packed):
         assert np.array_equal(left, right)
 

@@ -54,13 +54,10 @@ def build_circuit(name: str) -> Circuit:
 
 
 def force_vector(engine: EPPEngine, batch_size: int | None = None,
-                 prune: bool | None = None, schedule: str | None = None,
-                 cells: str | None = None, chunking: str | None = None,
-                 rows: str | None = None):
+                 prune: bool | None = None, schedule: str | None = None):
     """A vector backend with the small-workload crossover disabled, so the
     vectorized kernels themselves are exercised even on tiny circuits."""
-    backend = engine.vector_backend(batch_size, prune=prune, schedule=schedule,
-                                    cells=cells, chunking=chunking, rows=rows)
+    backend = engine.vector_backend(batch_size, prune=prune, schedule=schedule)
     backend.min_vector_work = 0
     return backend
 
@@ -68,17 +65,13 @@ def force_vector(engine: EPPEngine, batch_size: int | None = None,
 def assert_backends_agree(circuit: Circuit, track_polarity: bool = True,
                           batch_size: int | None = None, collapse: bool = False,
                           prune: bool | None = None,
-                          schedule: str | None = None,
-                          cells: str | None = None,
-                          chunking: str | None = None,
-                          rows: str | None = None):
+                          schedule: str | None = None):
     engine = EPPEngine(circuit, track_polarity=track_polarity)
-    force_vector(engine, batch_size, prune, schedule, cells, chunking, rows)
+    force_vector(engine, batch_size, prune, schedule)
     scalar = engine.analyze(backend="scalar", collapse=collapse)
     vector = engine.analyze(backend="vector", collapse=collapse,
                             batch_size=batch_size, prune=prune,
-                            schedule=schedule, cells=cells, chunking=chunking,
-                            rows=rows)
+                            schedule=schedule)
     assert list(scalar) == list(vector)  # same sites, same order
     for site, expected in scalar.items():
         got = vector[site]
@@ -173,44 +166,30 @@ class TestSparseSweepEquivalence:
         assert_backends_agree(gate_zoo(), prune=prune, batch_size=2,
                               schedule="cone")
 
-    #: Every sweep strategy the backend can run, forced explicitly: the
-    #: PR-3 row-sparse tier, the cell-compacted tier (closed forms and
-    #: MUX/MAJ truth tables via the zoo, sentinel-padded mixed arities via
-    #: the shared and2/and3 group), the adaptive chunk splitter, the
-    #: compacted and full-row state layouts crossed with both cell tiers,
-    #: and the full auto stack (cost-model tiers + saturated dense
-    #: fallback + compacted rows).
+    #: Every sweep strategy the backend can run: forced pruning (every
+    #: chunk on a compacted union-of-cones matrix, groups split between
+    #: the cell-compacted and row kernels by the cost model) under both
+    #: schedules, and the full auto stack (plus the saturated dense
+    #: fallback).  The compacted kernels themselves are pinned per gate
+    #: type by ``TestCompactKernels``.
     FORCED_CONFIGS = (
-        dict(prune=True, schedule="cone", cells="off", chunking="fixed"),
-        dict(prune=True, schedule="cone", cells="on", chunking="fixed"),
-        dict(prune=True, schedule="cone", cells="on", chunking="adaptive"),
-        dict(prune=True, schedule="input", cells="on", chunking="adaptive"),
-        dict(prune=True, schedule="cone", cells="auto", chunking="auto"),
-        dict(prune=None, schedule="auto", cells="auto", chunking="auto"),
-        dict(prune=True, schedule="cone", cells="off", chunking="fixed",
-             rows="compact"),
-        dict(prune=True, schedule="cone", cells="on", chunking="fixed",
-             rows="compact"),
-        dict(prune=True, schedule="input", cells="auto", chunking="adaptive",
-             rows="compact"),
-        dict(prune=True, schedule="cone", cells="auto", chunking="auto",
-             rows="full"),
-        dict(prune=None, schedule="auto", cells="auto", chunking="auto",
-             rows="auto"),
+        dict(prune=True, schedule="cone"),
+        dict(prune=True, schedule="input"),
+        dict(prune=None, schedule="auto"),
+        dict(prune=None, schedule="input"),
     )
 
     @pytest.mark.parametrize("circuit_name", ["zoo", "s27", "s953"])
     def test_cell_compacted_bit_equal_to_dense(self, circuit_name):
         """The compacted kernels compute the same elementwise IEEE ops per
-        on-path cell as the dense kernels, so every forced strategy must
-        produce *bitwise* identical packed arrays — np.array_equal, not a
+        on-path cell as the dense kernels, so every strategy must produce
+        *bitwise* identical packed arrays — np.array_equal, not a
         tolerance."""
         circuit = build_circuit(circuit_name)
         engine = EPPEngine(circuit)
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         reference = force_vector(
             engine, batch_size=5, prune=False, schedule="input",
-            cells="off", chunking="fixed",
         ).pack_sites(ids)
         for config in self.FORCED_CONFIGS:
             backend = force_vector(engine, batch_size=5, **config)
@@ -219,25 +198,29 @@ class TestSparseSweepEquivalence:
                 assert np.array_equal(left, right), config
 
     def test_cell_tier_engages_and_computes_fewer_cells(self):
-        """The fast-suite smoke for the compacted code path: forcing
-        cells="on" routes partially-on-path groups through the compacted
-        kernels, and the stats show fewer cells computed than spanned."""
+        """The fast-suite smoke for the compacted code path: on clustered
+        pruned chunks the cost model routes sparse groups through the
+        compacted kernels, and the stats show fewer cells computed than
+        spanned."""
         engine = EPPEngine(build_circuit("s953"))
         backend = force_vector(engine, batch_size=16, prune=True,
-                               schedule="cone", cells="on")
+                               schedule="cone")
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         stats = backend.sweep_stats
         assert stats["groups_cell"] > 0
-        assert 0 < stats["cells_computed"] < stats["cells_total"]
-        assert stats["cells_on"] == stats["cells_computed"]
+        assert (
+            stats["cells_on"]
+            <= stats["cells_computed"]
+            < stats["cells_total"]
+        )
 
     def test_auto_cost_model_mixes_tiers(self):
-        """cells="auto" must route dense-ish groups to the row kernels and
-        sparse groups to the compacted kernels on the same sweep set."""
+        """The cost model must route dense-ish groups to the row kernels
+        and sparse groups to the compacted kernels on the same sweep set."""
         engine = EPPEngine(build_circuit("s1423"))
         backend = force_vector(engine, batch_size=64, prune=True,
-                               schedule="cone", cells="auto")
+                               schedule="cone")
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         stats = backend.sweep_stats
@@ -250,23 +233,25 @@ class TestSparseSweepEquivalence:
         )
 
     def test_dirty_row_reset_across_width_changes(self):
-        """Buffer reuse across sweeps of different widths: the dirty-row
-        restore must leave no stale cells from a previous wider sweep."""
+        """Buffer reuse across sweeps of different widths — compact arenas
+        (pruned) and template-reset slot buffers (dense) — must leave no
+        stale cells from a previous wider sweep."""
         engine = EPPEngine(build_circuit("s953"))
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-        backend = force_vector(engine, batch_size=32, prune=True,
-                               schedule="cone", cells="on")
-        first = backend.pack_sites(ids)
-        narrow = backend.pack_sites(ids[:7])  # narrow sweep between full ones
-        again = backend.pack_sites(ids)
-        for left, right in zip(first, again):
-            assert np.array_equal(left, right)
-        fresh = force_vector(
-            EPPEngine(build_circuit("s953")), batch_size=32, prune=True,
-            schedule="cone", cells="on",
-        ).pack_sites(ids[:7])
-        for left, right in zip(fresh, narrow):
-            assert np.array_equal(left, right)
+        for prune in (True, False):
+            backend = force_vector(engine, batch_size=32, prune=prune,
+                                   schedule="cone")
+            first = backend.pack_sites(ids)
+            narrow = backend.pack_sites(ids[:7])  # narrow between full ones
+            again = backend.pack_sites(ids)
+            for left, right in zip(first, again):
+                assert np.array_equal(left, right)
+            fresh = force_vector(
+                EPPEngine(build_circuit("s953")), batch_size=32, prune=prune,
+                schedule="cone",
+            ).pack_sites(ids[:7])
+            for left, right in zip(fresh, narrow):
+                assert np.array_equal(left, right)
 
     @pytest.mark.parametrize("batch_size", [None, 3])
     def test_sites_inside_other_sites_cones(self, batch_size):
@@ -317,9 +302,9 @@ def two_block_circuit() -> Circuit:
 
 
 class TestCompactedRows:
-    """``rows="compact"``: per-chunk union-of-cones state matrices.
+    """Pruned sweeps run on per-chunk union-of-cones state matrices.
 
-    Bit-identity against the dense and full-row sweeps is covered by
+    Bit-identity against the dense sweep is covered by
     ``FORCED_CONFIGS`` above and the hypothesis fuzzer; these tests pin
     the layout mechanics — the compacted path really engages, never
     materializes the full-width template, handles degenerate site lists,
@@ -329,7 +314,7 @@ class TestCompactedRows:
     def test_compact_sweeps_engage_without_template(self):
         engine = EPPEngine(build_circuit("s953"))
         backend = force_vector(engine, batch_size=16, prune=True,
-                               schedule="cone", rows="compact")
+                               schedule="cone")
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         stats = backend.sweep_stats
@@ -341,20 +326,21 @@ class TestCompactedRows:
         assert not backend._buffer_slots  # no slot buffers either
 
     def test_auto_rows_compacts_pruned_sweeps(self):
-        """The default rows="auto" resolves to the compacted layout for
-        every forced-pruned sweep."""
+        """Every sweep that prunes runs on the compacted layout."""
         engine = EPPEngine(build_circuit("s953"))
         backend = force_vector(engine, batch_size=16, prune=True,
                                schedule="cone")
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
-        assert backend.rows == "auto"
         assert backend.sweep_stats["compact_sweeps"] > 0
+        assert backend.sweep_stats["groups_dense"] == 0
 
     def test_rows_full_restores_slot_buffers(self):
+        """Dense sweeps keep the full-row layout: template-reset slot
+        buffers, no compacted sweeps."""
         engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, batch_size=16, prune=True,
-                               schedule="cone", rows="full")
+        backend = force_vector(engine, batch_size=16, prune=False,
+                               schedule="cone")
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         assert backend.sweep_stats["compact_sweeps"] == 0
@@ -363,10 +349,9 @@ class TestCompactedRows:
 
     def test_dense_fallback_chunks_stay_full_row(self):
         """prune="auto" on a small saturated circuit runs dense sweeps on
-        full-row buffers even when rows="compact" is forced: a dense
-        sweep's union is the whole circuit."""
+        full-row buffers: a dense sweep's union is the whole circuit."""
         engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, rows="compact")  # prune defaults auto
+        backend = force_vector(engine)  # prune defaults auto
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         stats = backend.sweep_stats
@@ -375,7 +360,7 @@ class TestCompactedRows:
 
     def test_empty_site_list(self):
         engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, prune=True, rows="compact")
+        backend = force_vector(engine, prune=True)
         assert backend.analyze_sites([]) == {}
         assert len(backend.p_sensitized_many([])) == 0
         packed = backend.pack_sites([])
@@ -387,12 +372,13 @@ class TestCompactedRows:
         """batch_size=1: every chunk holds one site, so each compacted
         matrix is exactly one cone (plus read rows and sentinels)."""
         assert_backends_agree(build_circuit(circuit_name), prune=True,
-                              batch_size=1, schedule="cone", rows="compact")
+                              batch_size=1, schedule="cone")
 
-    @pytest.mark.parametrize("rows", ["compact", "full"])
-    def test_sites_inside_other_sites_cones(self, rows):
+    @pytest.mark.parametrize("prune", [True, False], ids=["compact", "full"])
+    def test_sites_inside_other_sites_cones(self, prune):
         """A chunk mixing a site with members of its own fanout cone must
-        keep the downstream columns' injected 1(a) in both row layouts."""
+        keep the downstream columns' injected 1(a) in both row layouts:
+        compacted (pruned) and full-row (dense)."""
         circuit = Circuit("chain")
         circuit.add_input("i0")
         circuit.add_input("i1")
@@ -403,15 +389,15 @@ class TestCompactedRows:
                              [previous, "i1"])
             previous = name
         circuit.mark_output(previous)
-        assert_backends_agree(circuit, prune=True, batch_size=3,
-                              schedule="cone", rows=rows)
-        assert_backends_agree(circuit, prune=True, schedule="input", rows=rows)
+        assert_backends_agree(circuit, prune=prune, batch_size=3,
+                              schedule="cone")
+        assert_backends_agree(circuit, prune=prune, schedule="input")
 
     def test_chunk_plan_cached_across_sweeps(self):
         """Repeated sweeps of the same chunk reuse one cached row remap."""
         engine = EPPEngine(build_circuit("s953"))
         backend = force_vector(engine, batch_size=16, prune=True,
-                               schedule="cone", rows="compact")
+                               schedule="cone")
         ids = np.asarray(
             [engine._cones.resolve(s) for s in engine.default_sites()][:16],
             dtype=np.intp,
@@ -424,7 +410,7 @@ class TestCompactedRows:
     def test_release_buffers_clears_chunk_plans(self):
         engine = EPPEngine(build_circuit("s953"))
         backend = force_vector(engine, batch_size=16, prune=True,
-                               schedule="cone", rows="compact")
+                               schedule="cone")
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         assert len(backend.plan.chunk_cache) > 0
@@ -436,8 +422,7 @@ class TestCompactedRows:
         mapped back to their global sink positions."""
         circuit = two_block_circuit()
         engine = EPPEngine(circuit)
-        backend = force_vector(engine, prune=True, schedule="input",
-                               rows="compact")
+        backend = force_vector(engine, prune=True, schedule="input")
         a_ids = np.asarray([engine._cones.resolve("a0")], dtype=np.intp)
         cplan = backend.plan.compact_chunk_plan(a_ids)
         # Block A reaches one of the two sinks; block B's rows are absent.
@@ -445,70 +430,122 @@ class TestCompactedRows:
         assert cplan.n_rows < engine.compiled.n
         packed = backend.pack_sites(a_ids)
         dense = force_vector(
-            EPPEngine(circuit), prune=False, schedule="input", rows="full",
+            EPPEngine(circuit), prune=False, schedule="input",
         ).pack_sites(a_ids)
         for left, right in zip(dense, packed):
             assert np.array_equal(left, right)
 
 
 class TestDirtyRowLifecycle:
-    """Stale dirty-row sets must never describe a buffer they don't match."""
+    """Reused sweep buffers never leak one sweep's state into the next.
 
-    def _forced_full(self, circuit, batch_size=8):
+    Both surviving layouts reuse memory across sweeps: dense sweeps reset
+    their full-row slot buffers from the off-path template, pruned sweeps
+    re-seed their compact arenas from the gathered constants.  Each test
+    runs against both.
+    """
+
+    LAYOUTS = (False, True)  # prune=False: slot buffers; True: arenas
+
+    def _backend(self, circuit, prune, batch_size=8):
         engine = EPPEngine(circuit)
-        backend = force_vector(engine, batch_size=batch_size, prune=True,
-                               schedule="input", cells="off", rows="full")
+        backend = force_vector(engine, batch_size=batch_size, prune=prune,
+                               schedule="input")
         return engine, backend
 
     def test_failed_sweep_invalidates_dirty_tracking(self):
-        """A sweep that dies mid-flight leaves the slot buffer partially
-        overwritten; the recorded dirty set from the *previous* sweep must
-        not be trusted for the next restore (it would skip the rows the
-        failed sweep corrupted)."""
-        engine, backend = self._forced_full(two_block_circuit())
-        a_ids = [engine._cones.resolve("a0")]
-        b_ids = [engine._cones.resolve(f"b{index}") for index in range(4)]
-        first = backend.pack_sites(a_ids)  # slot 0: dirty = A rows only
+        """A sweep that dies mid-flight leaves its buffer partially
+        overwritten; the next sweeps of that buffer must still produce
+        exactly the packed arrays of a clean backend."""
+        circuit = two_block_circuit()
+        for prune in self.LAYOUTS:
+            engine, backend = self._backend(circuit, prune)
+            a_ids = [engine._cones.resolve("a0")]
+            b_ids = [engine._cones.resolve(f"b{index}") for index in range(4)]
+            first = backend.pack_sites(a_ids)  # slot 0 holds A's sweep
 
-        # Poison the deepest level (block B's top gate) so the next sweep
-        # writes nearly all of B's rows into slot 0 and then dies.
-        _, groups = backend.plan.levels[-1]
-        originals = [group.rule for group in groups]
+            # Poison the deepest level (block B's top gate) so the next
+            # sweep writes nearly all of B's rows into slot 0 and dies.
+            _, groups = backend.plan.levels[-1]
+            originals = [(group.rule, group.compact_rule) for group in groups]
 
-        def boom(*args, **kwargs):
-            raise RuntimeError("poisoned kernel")
+            def boom(*args, **kwargs):
+                raise RuntimeError("poisoned kernel")
 
-        for group in groups:
-            group.rule = boom
-        try:
-            with pytest.raises(RuntimeError, match="poisoned"):
-                backend.pack_sites(b_ids)
-        finally:
-            for group, original in zip(groups, originals):
-                group.rule = original
+            for group in groups:
+                group.rule = group.compact_rule = boom
+            try:
+                with pytest.raises(RuntimeError, match="poisoned"):
+                    backend.pack_sites(b_ids)
+            finally:
+                for group, (rule, compact_rule) in zip(groups, originals):
+                    group.rule = rule
+                    group.compact_rule = compact_rule
 
-        again = backend.pack_sites(a_ids)
-        for left, right in zip(first, again):
-            assert np.array_equal(left, right)
+            again = backend.pack_sites(a_ids)
+            for left, right in zip(first, again):
+                assert np.array_equal(left, right), prune
+            clean = self._backend(circuit, prune)[1].pack_sites(b_ids)
+            for left, right in zip(clean, backend.pack_sites(b_ids)):
+                assert np.array_equal(left, right), prune
 
     def test_release_then_reuse_interleaving(self):
         """release_buffers() between sweeps of different unions: the
-        freshly allocated slot must start from a clean template, not a
-        stale dirty entry."""
-        engine, backend = self._forced_full(build_circuit("s953"), 32)
-        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
-        wide = backend.pack_sites(ids)
-        backend.release_buffers()
-        narrow = backend.pack_sites(ids[:7])
-        wide_again = backend.pack_sites(ids)
-        for left, right in zip(wide, wide_again):
-            assert np.array_equal(left, right)
-        fresh_engine, fresh = self._forced_full(build_circuit("s953"), 32)
-        fresh_narrow = fresh.pack_sites(
-            [fresh_engine._cones.resolve(s) for s in fresh_engine.default_sites()][:7]
-        )
-        for left, right in zip(fresh_narrow, narrow):
-            assert np.array_equal(left, right)
+        freshly allocated buffers must give a clean backend's results."""
+        circuit = build_circuit("s953")
+        for prune in self.LAYOUTS:
+            engine, backend = self._backend(circuit, prune, 32)
+            ids = [engine._cones.resolve(s) for s in engine.default_sites()]
+            wide = backend.pack_sites(ids)
+            backend.release_buffers()
+            narrow = backend.pack_sites(ids[:7])
+            wide_again = backend.pack_sites(ids)
+            for left, right in zip(wide, wide_again):
+                assert np.array_equal(left, right), prune
+            fresh = self._backend(circuit, prune, 32)[1]
+            for left, right in zip(fresh.pack_sites(ids[:7]), narrow):
+                assert np.array_equal(left, right), prune
+
+
+class TestCompactKernels:
+    """The compacted kernels against the row kernels, per gate group.
+
+    Tiny circuits rarely fall below the cell-compaction cost threshold,
+    so this pins every group's ``compact_rule`` directly: on a seeded
+    state and on-path mask, the gathered cells must equal the row
+    kernel's output at those cells bit for bit.
+    """
+
+    @pytest.mark.parametrize("circuit_name", ["zoo", "s953"])
+    def test_compact_rule_matches_row_rule(self, circuit_name):
+        from repro.core.epp_batch import BatchPlan
+
+        compiled = build_circuit(circuit_name).compiled()
+        plan = BatchPlan.for_compiled(compiled)
+        rng = np.random.default_rng(1234)
+        n_cols = 6
+        state = rng.random((compiled.n + 2, 4, n_cols))
+        state[compiled.n] = np.array([0.0, 0.0, 0.0, 1.0])[:, None]
+        state[compiled.n + 1] = np.array([0.0, 0.0, 1.0, 0.0])[:, None]
+        covered = set()
+        for _, groups in plan.levels:
+            for group in groups:
+                covered.update(
+                    compiled.gate_type(node_id) for node_id in group.out_ids
+                )
+                on_mask = rng.random((len(group.out_ids), n_cols)) < 0.4
+                on_rows, on_cols = np.nonzero(on_mask)
+                dense = group.rule(state, group.fanin)  # (g, 4, s)
+                compact = group.compact_rule(
+                    state, group.fanin[on_rows], on_cols
+                )  # (m, 4)
+                assert np.array_equal(compact, dense[on_rows, :, on_cols])
+        if circuit_name == "zoo":  # every combinational gate type
+            assert covered >= {
+                GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
+                GateType.XOR, GateType.XNOR, GateType.NOT, GateType.BUF,
+                GateType.MUX, GateType.MAJ,
+            }
 
 
 class TestUnifiedReductionPath:

@@ -254,11 +254,12 @@ class TestDirtyMask:
 # --------------------------------------------------------------- bit identity
 
 #: The backend tiers the acceptance criteria pin: default vector, both
-#: row layouts, and the sharded pool.
+#: row layouts (compacted pruned sweeps, full-row dense sweeps), and the
+#: sharded pool.
 TIERS = [
     {},
-    {"rows": "compact"},
-    {"rows": "full", "schedule": "input"},
+    {"prune": True},
+    {"prune": False, "schedule": "input"},
     {"backend": "sharded", "jobs": 2},
 ]
 
@@ -404,11 +405,11 @@ class TestBitIdentity:
 
     def test_knob_override_merges_per_key(self):
         engine = EPPEngine(c17())
-        prev = engine.snapshot(rows="compact", schedule="cone")
+        prev = engine.snapshot(prune=True, schedule="cone")
         delta = engine.analyze_delta(
-            prev, EditSet().replace_gate("N10", "nor"), rows="full"
+            prev, EditSet().replace_gate("N10", "nor"), prune=False
         )
-        assert delta.knobs["rows"] == "full"
+        assert delta.knobs["prune"] is False
         assert delta.knobs["schedule"] == "cone"  # untouched keys survive
         assert_bit_identical(delta, full_resnapshot(delta))
 

@@ -306,26 +306,7 @@ class TestShardScheduling:
             assert backend.pool_started
         finally:
             backend.close()
-        assert backend.rows == "auto"
         assert_results_match(vector, sharded)
-
-    def test_worker_rows_knob_forwarded(self):
-        """rows="full" must reach worker backends through the payload."""
-        from repro.core.epp_shard import _shard_worker_init, _worker_backend
-
-        engine = EPPEngine(generate_iscas("s953"))
-        backend = engine.sharded_backend(jobs=2, rows="full")
-        assert backend.rows == "full"
-        _shard_worker_init(backend.payload(), backend.payload_key())
-        try:
-            worker_backend = _worker_backend()
-            assert worker_backend.rows == "full"
-        finally:
-            import repro.core.epp_shard as shard_module
-
-            shard_module._WORKER_PAYLOAD = None
-            shard_module._WORKER_BACKENDS.clear()
-            shard_module._WORKER_STATS["plans_built"] = 0
 
     def test_worker_prune_knob_forwarded(self):
         """prune=False must reach worker backends through the payload."""

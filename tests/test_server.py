@@ -296,6 +296,25 @@ class TestServiceCore:
                 assert not response["error"]["retriable"]
         asyncio.run(main())
 
+    def test_retired_sweep_knob_is_typed_config_error(self, tmp_path, c17_ref):
+        """A client still sending a retired sweep knob gets a typed,
+        terminal error naming it — and the server keeps serving."""
+        async def main():
+            async with serving(tmp_path) as svc:
+                response = await svc._respond(wire(
+                    op="analyze", circuit="c17", knobs={"rows": "full"}
+                ))
+                assert not response["ok"]
+                assert response["error"]["type"] in (
+                    "AnalysisConfigError", "ConfigError"
+                )
+                assert "rows" in response["error"]["message"]
+                assert not response["error"]["retriable"]
+                after = await svc._respond(wire(op="analyze", circuit="c17"))
+                assert after["ok"]
+                assert_matches_reference(after["result"], c17_ref)
+        asyncio.run(main())
+
     def test_delta_chain_matches_in_process(self, tmp_path, c17_ref):
         _, sites = c17_ref
         engine = EPPEngine(c17())

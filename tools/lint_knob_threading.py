@@ -17,9 +17,9 @@ Allowed exceptions:
   ``from_knobs``, ``replace``, ``merged_with``) — building the config
   object is the point;
 * the documented back-compat signatures that accept individual knobs
-  *and* ``config=`` (``EPPEngine.sharded_backend`` /
-  ``vector_backend``, ``ShardedEPPEngine.__init__``) — they funnel
-  straight into ``AnalysisConfig`` internally.
+  *and* ``config=`` (``EPPEngine.sharded_backend``,
+  ``ShardedEPPEngine.__init__``) — they funnel straight into
+  ``AnalysisConfig`` internally.
 
 Run from the repo root: ``python tools/lint_knob_threading.py``.
 Exits non-zero listing ``file:line`` for each violation.
@@ -53,12 +53,7 @@ ALLOWED_CALLEES = frozenset(
 #: by building an AnalysisConfig on their first line.
 ALLOWED_DEFS = frozenset({
     ("src/repro/core/epp.py", "sharded_backend"),
-    ("src/repro/core/epp.py", "vector_backend"),
     ("src/repro/core/epp_shard.py", "__init__"),
-    # The vector kernel's constructor is the *terminal* consumer of the
-    # sweep subset — every caller feeds it ``**config.sweep_kwargs()``,
-    # so the knobs exist as parameters exactly once below the config.
-    ("src/repro/core/epp_batch.py", "__init__"),
 })
 
 #: Files exempt wholesale.
