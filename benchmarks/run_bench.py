@@ -420,13 +420,13 @@ def bench_circuit(name: str, jobs: int | None) -> dict:
     def timed_full(delta) -> float:
         def measure() -> float:
             start = time.perf_counter()
-            delta.engine.snapshot(**delta.knobs)
+            delta.engine.snapshot(config=delta.config)
             return time.perf_counter() - start
 
         return _best_of(measure, floor_s=2.0, max_repeats=3)
 
     row["delta_full_s"] = timed_full(delta)
-    full = delta.engine.snapshot(**delta.knobs)
+    full = delta.engine.snapshot(config=delta.config)
     row["delta_identical"] = bool(
         delta.site_names == full.site_names
         and all(np.array_equal(a, b) for a, b in zip(delta.packed, full.packed))
@@ -591,6 +591,7 @@ def bench_durability(document: dict, circuits, jobs, verbose: bool = True) -> No
 
     import numpy as np
 
+    from repro.core.config import AnalysisConfig
     from repro.core.epp_shard import ShardedEPPEngine
 
     for name in circuits:
@@ -603,8 +604,8 @@ def bench_durability(document: dict, circuits, jobs, verbose: bool = True) -> No
 
         def sharded(checkpoint=None):
             return ShardedEPPEngine(
-                engine.compiled, engine._sp, jobs=jobs,
-                min_process_work=0, checkpoint=checkpoint,
+                engine.compiled, engine._sp, min_process_work=0,
+                config=AnalysisConfig(jobs=jobs, checkpoint=checkpoint),
             )
 
         try:

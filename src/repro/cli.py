@@ -67,15 +67,14 @@ def _add_analysis_flags(
     parser: argparse.ArgumentParser, *, delta: bool = False
 ) -> None:
     """Analysis-knob flags, generated from the
-    :class:`~repro.core.config.AnalysisConfig` field metadata — a knob
-    added there (or a backend registered in
-    :data:`repro.core.backends.REGISTRY`) shows up on ``analyze`` with
-    zero CLI edits.  ``delta=True`` keeps only the knobs the incremental
-    layer accepts (no resilience/checkpoint surface) and restricts
-    ``--backend`` to pack-capable backends (the incremental layer
-    splices packed arrays, so the scalar oracle is out).
+    :class:`~repro.core.config.AnalysisConfig` field metadata and the
+    backend table :data:`repro.core.backends.BACKENDS`.  ``delta=True``
+    keeps only the knobs the incremental layer accepts (no
+    resilience/checkpoint surface) and restricts ``--backend`` to
+    pack-capable backends (the incremental layer splices packed arrays,
+    so the scalar oracle is out).
     """
-    from repro.core.backends import REGISTRY
+    from repro.core.backends import BACKENDS
     from repro.core.config import KNOB_KEYS, field_metadata
 
     for name in KNOB_KEYS:
@@ -84,9 +83,12 @@ def _add_analysis_flags(
         if flag is None or (delta and not meta["delta"]):
             continue
         if name == "backend":
-            names = REGISTRY.pack_capable_names() if delta else REGISTRY.names()
+            names = tuple(
+                name for name, info in BACKENDS.items()
+                if info.supports_pack or not delta
+            )
             parser.add_argument(
-                flag, choices=("auto",) + tuple(names), default="auto",
+                flag, choices=("auto",) + names, default="auto",
                 help=meta["doc"],
             )
         elif meta["kind"] == "prune":
@@ -170,6 +172,8 @@ def _build_edit_set(args: argparse.Namespace):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.backends import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro-ser",
         description="EPP-based SER estimation (Asadi & Tahoori, DATE 2005 reproduction)",
@@ -193,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     table2.add_argument("--json", help="write measured rows to a JSON file")
     table2.add_argument(
         "--backend",
-        choices=("scalar", "vector", "sharded"),
+        choices=tuple(BACKENDS),
         default="scalar",
         help="EPP backend for the SysT column (scalar keeps the paper's "
         "per-cone accounting; vector times the batched NumPy sweep; "
@@ -486,6 +490,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if result.all_match else 1
 
     if args.command == "table2":
+        from repro.core.config import AnalysisConfig
         from repro.experiments.reporting import rows_to_csv, rows_to_json
         from repro.experiments.table2 import Table2Config, format_table2, run_table2
 
@@ -495,21 +500,17 @@ def _dispatch(args: argparse.Namespace) -> int:
             config = Table2Config.full()
         else:
             config = Table2Config()
-        overrides = {}
+        overrides = {"analysis": AnalysisConfig(
+            backend=args.backend,
+            jobs=args.jobs,
+            prune=False if args.no_prune else None,
+            schedule=None if args.schedule == "auto" else args.schedule,
+        )}
         if args.circuits and args.mode != "quick":
             overrides["circuits"] = tuple(args.circuits)
-        if args.backend != config.backend:
-            overrides["backend"] = args.backend
-        if args.jobs is not None:
-            overrides["jobs"] = args.jobs
         if args.circuit_jobs is not None:
             overrides["circuit_jobs"] = args.circuit_jobs
-        if args.schedule != "auto":
-            overrides["schedule"] = args.schedule
-        if args.no_prune:
-            overrides["prune"] = False
-        if overrides:
-            config = Table2Config(**{**config.__dict__, **overrides})
+        config = Table2Config(**{**config.__dict__, **overrides})
         rows = run_table2(config, verbose=True)
         print()
         print(format_table2(rows))
@@ -564,7 +565,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.verify:
             import numpy as np
 
-            full = delta.engine.snapshot(**delta.knobs)
+            full = delta.engine.snapshot(config=delta.config)
             identical = all(
                 np.array_equal(left, right)
                 for left, right in zip(delta.packed, full.packed)
@@ -633,7 +634,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 def _run_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.core.resilience import FaultPolicy
+    from repro.core.config import AnalysisConfig
     from repro.errors import ConfigError
     from repro.server.service import AnalysisService
 
@@ -643,7 +644,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         raise ConfigError(f"--max-queue must be >= 1, got {args.max_queue}")
     if args.request_deadline is not None:
         # Same validation path the sharded policy uses: rejects <= 0.
-        FaultPolicy.from_knobs(deadline=args.request_deadline)
+        AnalysisConfig(deadline=args.request_deadline)
     if args.resume and not args.store_dir:
         raise ConfigError("--resume needs --store-dir (nothing to recover from)")
     service = AnalysisService(

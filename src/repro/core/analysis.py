@@ -248,7 +248,7 @@ class SERAnalyzer:
         either individually or as one pre-built
         :class:`~repro.core.config.AnalysisConfig` via ``config=``:
         ``"scalar"`` for the per-site reference path, ``"vector"`` for
-        the batched NumPy backend (the default when NumPy is available;
+        the batched NumPy backend (the default;
         cone-aware sparse sweeps, cell-compacted kernels, compacted
         union-of-cones state matrices and cone-clustered cost-aware
         chunks by default), ``"sharded"`` (or just passing ``jobs=``)

@@ -1,26 +1,12 @@
-"""The EPP backend registry: names -> factories + capability flags.
+"""The EPP backends: one fixed name -> :class:`BackendInfo` table.
 
-Before this module the backend roster was a hardcoded tuple in
-:mod:`repro.core.epp` and every capability question was a string
-compare scattered across layers — ``epp_delta`` rejected ``"scalar"``
-by name, the server's degradation path knew ``"vector"`` was the safe
-in-process fallback, the CLI listed choices by hand.  The registry
-makes all of that one table:
+Every capability question about a backend — can the incremental layer
+splice its packed arrays, does it honor ``jobs=`` and the resilience
+knobs — is answered from :data:`BACKENDS`, so the config layer's
+validation, the CLI's ``--backend`` choices, ``EPPEngine.analyze`` and
+the delta layer never compare backend names by hand.
 
-* :class:`BackendInfo` — one backend's name, construction factory and
-  capability flags (``supports_pack``/``supports_delta`` for the packed
-  representation the incremental layer splices, ``sharded`` for whether
-  the backend can honor ``jobs=``/resilience knobs, ``requires_numpy``).
-* :class:`BackendRegistry` — the name -> :class:`BackendInfo` map.
-  :data:`REGISTRY` is the process-wide instance with ``scalar`` /
-  ``vector`` / ``sharded`` registered; registering a fourth backend
-  (a compiled kernel tier, a Monte-Carlo estimator) is one
-  ``REGISTRY.register(...)`` call in the new backend's module — it then
-  resolves from ``EPPEngine.analyze(backend=...)``, the CLI's
-  ``--backend`` choices and the config layer's validation with zero
-  edits anywhere else.
-
-Every registered factory returns an object honoring the (duck-typed)
+Every factory returns an object honoring the (duck-typed)
 **EPPBackendProtocol** — the contract
 :class:`~repro.core.epp.EPPEngine` and the incremental layer program
 against:
@@ -37,137 +23,51 @@ against:
 
 Factories take ``(engine, config)`` — the bound
 :class:`~repro.core.epp.EPPEngine` and a validated
-:class:`~repro.core.config.AnalysisConfig` — and may (the built-ins do)
-return a cached instance when the effective configuration is unchanged.
+:class:`~repro.core.config.AnalysisConfig` — and return the engine's
+cached instance when the effective configuration is unchanged.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Callable
 
 from repro.errors import AnalysisConfigError
 
 __all__ = [
-    "REGISTRY",
+    "BACKENDS",
     "BackendInfo",
-    "BackendRegistry",
     "available_backends",
+    "backend_info",
     "default_backend",
 ]
 
 
-def _vector_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class BackendInfo:
-    """One registered EPP backend: identity, factory, capabilities.
+    """One EPP backend: factory and capabilities.
 
     ``factory(engine, config)`` returns the backend instance bound to
     ``engine`` under ``config`` (an
     :class:`~repro.core.config.AnalysisConfig`).  ``supports_pack`` marks
     backends whose ``pack_sites`` emits the packed arrays the
-    incremental layer splices; ``supports_delta`` marks backends
-    ``analyze_delta`` may re-sweep on; ``sharded`` marks backends that
-    honor ``jobs=`` and the resilience knobs; ``requires_numpy`` gates
-    availability on the NumPy import.
+    incremental layer splices; ``sharded`` marks backends that honor
+    ``jobs=`` and the resilience knobs.
     """
 
-    name: str
     factory: Callable[[Any, Any], Any]
-    description: str = ""
     supports_pack: bool = False
-    supports_delta: bool = False
     sharded: bool = False
-    requires_numpy: bool = False
-
-    def available(self) -> bool:
-        return not self.requires_numpy or _vector_available()
-
-
-class BackendRegistry:
-    """Thread-safe name -> :class:`BackendInfo` map."""
-
-    def __init__(self):
-        self._infos: dict[str, BackendInfo] = {}
-        self._lock = threading.Lock()
-
-    def register(self, info: BackendInfo, *, replace: bool = False) -> None:
-        """Add a backend.  Re-registering a live name is almost always a
-        bug (two modules fighting over one name), so it raises unless
-        ``replace=True``."""
-        with self._lock:
-            if not replace and info.name in self._infos:
-                raise AnalysisConfigError(
-                    f"EPP backend {info.name!r} is already registered"
-                )
-            self._infos[info.name] = info
-
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            self._infos.pop(name, None)
-
-    def get(self, name: str) -> BackendInfo:
-        """The info for ``name`` — the one spelling of the historical
-        "unknown EPP backend" error."""
-        info = self._infos.get(name)
-        if info is None:
-            raise AnalysisConfigError(
-                f"unknown EPP backend {name!r}; choose from {self.names()}"
-            )
-        return info
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._infos
-
-    def names(self) -> tuple[str, ...]:
-        """Every registered name, registration order."""
-        return tuple(self._infos)
-
-    def available_names(self) -> tuple[str, ...]:
-        """The names usable in this environment (NumPy gating applied)."""
-        return tuple(
-            name for name, info in self._infos.items() if info.available()
-        )
-
-    def pack_capable_names(self) -> tuple[str, ...]:
-        return tuple(
-            name for name, info in self._infos.items() if info.supports_pack
-        )
-
-
-#: The process-wide registry.  Built-ins register below; new backend
-#: tiers register themselves from their own module.
-REGISTRY = BackendRegistry()
-
-
-def available_backends() -> tuple[str, ...]:
-    """The analyze() backends usable in this environment."""
-    return REGISTRY.available_names()
-
-
-def default_backend() -> str:
-    """``vector`` when NumPy is importable, else ``scalar``."""
-    return "vector" if _vector_available() else "scalar"
-
-
-# ------------------------------------------------------------- built-ins
 
 
 class ScalarBackend:
     """The per-site reference oracle behind the protocol facade.
 
     Wraps the engine's ``node_epp`` cone walk so the scalar path goes
-    through the same registry dispatch as every other backend.  No
-    packed representation (``supports_pack=False``): each site is a
-    fresh cone walk, there are no chunk arrays to splice.
+    through the same dispatch as every other backend.  No packed
+    representation (``supports_pack=False``): each site is a fresh cone
+    walk, there are no chunk arrays to splice.
     """
 
     __slots__ = ("engine",)
@@ -192,28 +92,43 @@ class ScalarBackend:
         pass
 
 
-REGISTRY.register(BackendInfo(
-    name="scalar",
-    factory=lambda engine, config: ScalarBackend(engine),
-    description="per-site reference oracle (pure Python, one cone walk "
-                "per site)",
-))
-REGISTRY.register(BackendInfo(
-    name="vector",
-    factory=lambda engine, config: engine._get_vector_backend(config),
-    description="batched level-parallel NumPy sweep "
-                "(repro.core.epp_batch)",
-    supports_pack=True,
-    supports_delta=True,
-    requires_numpy=True,
-))
-REGISTRY.register(BackendInfo(
-    name="sharded",
-    factory=lambda engine, config: engine._get_sharded_backend(config),
-    description="site shards fanned across a process pool of vector "
-                "workers (repro.core.epp_shard)",
-    supports_pack=True,
-    supports_delta=True,
-    sharded=True,
-    requires_numpy=True,
-))
+#: Every EPP backend, by name (read-only): ``scalar`` is the per-site
+#: reference oracle (one pure-Python cone walk per site), ``vector`` the
+#: batched level-parallel NumPy sweep (:mod:`repro.core.epp_batch`),
+#: ``sharded`` site shards fanned across a process pool of vector
+#: workers (:mod:`repro.core.epp_shard`).
+BACKENDS = MappingProxyType({
+    "scalar": BackendInfo(
+        factory=lambda engine, config: ScalarBackend(engine),
+    ),
+    "vector": BackendInfo(
+        factory=lambda engine, config: engine._get_vector_backend(config),
+        supports_pack=True,
+    ),
+    "sharded": BackendInfo(
+        factory=lambda engine, config: engine._get_sharded_backend(config),
+        supports_pack=True,
+        sharded=True,
+    ),
+})
+
+
+def backend_info(name: str) -> BackendInfo:
+    """The info for ``name`` — the one spelling of the "unknown EPP
+    backend" error."""
+    info = BACKENDS.get(name)
+    if info is None:
+        raise AnalysisConfigError(
+            f"unknown EPP backend {name!r}; choose from {tuple(BACKENDS)}"
+        )
+    return info
+
+
+def available_backends() -> tuple[str, ...]:
+    """The analyze() backend names."""
+    return tuple(BACKENDS)
+
+
+def default_backend() -> str:
+    """The backend an analysis runs on when none is named."""
+    return "vector"

@@ -45,6 +45,7 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
+from repro.core.backends import backend_info, default_backend
 from repro.core.schedule import SCHEDULES, resolve_prune, validate_schedule
 from repro.errors import AnalysisConfigError
 
@@ -67,7 +68,11 @@ __all__ = [
 #: scheme; stale disk-store and journal entries simply miss and rebuild.
 #: Version 3 dropped the retired ``cells``/``chunking``/``rows`` sweep
 #: knobs, so identities minted while they existed miss cleanly too.
-WIRE_VERSION = 3
+#: Version 4 took the execution knobs (``jobs``/``retries``/
+#: ``shard_timeout``/``on_failure``) off the wire: the server owns its
+#: process count and recovery policy, and those knobs never change a
+#: result, so they must not fork result identities either.
+WIRE_VERSION = 4
 
 #: On-failure modes, re-exported here so the CLI and the knob reference
 #: need only this module.  The authoritative tuple lives with
@@ -118,9 +123,9 @@ class AnalysisConfig:
     backend: str | None = _knob(
         wire=True, kind="str", cli="--backend", delta=True,
         section="backend",
-        doc="EPP backend to run: a registered backend name, or omitted to "
-            "auto-select (`sharded` when `jobs=` is given, else the best "
-            "available single-process backend).",
+        doc="EPP backend to run: `scalar`, `vector` or `sharded`, or "
+            "omitted to auto-select (`sharded` when `jobs=` is given, else "
+            "`vector`).",
     )
     batch_size: int | None = _knob(
         wire=True, kind="int", cli="--batch-size", delta=True, sweep=True,
@@ -129,10 +134,11 @@ class AnalysisConfig:
             "omitted means the calibrated per-circuit default.",
     )
     jobs: int | None = _knob(
-        wire=True, kind="int", cli="--jobs", delta=True, serve="--jobs",
+        wire=False, kind="int", cli="--jobs", delta=True, serve="--jobs",
         sharded_only=True, section="sharding",
         doc="Worker processes for the sharded backend (implies "
-            "`backend=sharded` when no backend is named).",
+            "`backend=sharded` when no backend is named; the server's "
+            "own `--jobs` sets it, never a request).",
     )
     prune: "bool | str | None" = _knob(
         wire=True, kind="prune", cli="--no-prune", delta=True, sweep=True,
@@ -149,19 +155,19 @@ class AnalysisConfig:
             "`input` preserves caller order.",
     )
     retries: int | None = _knob(
-        wire=True, kind="int", cli="--retries", sharded_only=True,
+        wire=False, kind="int", cli="--retries", sharded_only=True,
         section="resilience",
         doc="Extra attempts per shard beyond the first (sharded backend "
             "only); omitted means the FaultPolicy default.",
     )
     shard_timeout: float | None = _knob(
-        wire=True, kind="float", cli="--shard-timeout", sharded_only=True,
+        wire=False, kind="float", cli="--shard-timeout", sharded_only=True,
         section="resilience",
         doc="Per-shard deadline in seconds; a shard past it is retried "
             "(respawning a wedged pool first).",
     )
     on_failure: str | None = _knob(
-        wire=True, kind="choice", cli="--on-worker-failure",
+        wire=False, kind="choice", cli="--on-worker-failure",
         sharded_only=True, choices=ON_FAILURE_MODES, section="resilience",
         doc="Terminal action once a shard's retry budget is exhausted: "
             "`retry` raises after the budget, `degrade` finishes the "
@@ -201,19 +207,12 @@ class AnalysisConfig:
         resolve_prune(self.prune)
         validate_schedule(self.schedule)
         if self.backend is not None:
-            from repro.core.backends import REGISTRY
-
-            REGISTRY.get(self.backend)  # unknown-name check
-        # Resilience values: delegate to FaultPolicy.from_knobs so the
+            backend_info(self.backend)  # unknown-name check
+        # Resilience values: delegate to FaultPolicy.from_config so the
         # flag-naming ConfigError messages stay byte-identical.
         from repro.core.resilience import FaultPolicy
 
-        FaultPolicy.from_knobs(
-            retries=self.retries,
-            shard_timeout=self.shard_timeout,
-            on_failure=self.on_failure,
-            deadline=self.deadline,
-        )
+        FaultPolicy.from_config(self)
         # Cross-field conflicts — only when the backend is *explicit*.
         # With backend omitted the conflict depends on what the backend
         # resolves to (jobs= implies sharded; the server injects its own
@@ -229,10 +228,7 @@ class AnalysisConfig:
         own message), then the requested resilience knobs joined with
         ``/`` — so every existing ``match="sharded"`` pin holds.
         """
-        from repro.core.backends import REGISTRY
-
-        info = REGISTRY.get(backend)
-        if info.sharded:
+        if backend_info(backend).sharded:
             return
         if self.jobs is not None:
             raise AnalysisConfigError(
@@ -273,8 +269,15 @@ class AnalysisConfig:
         return dataclasses.replace(self, **changes)
 
     def merged_with(self, overrides: Mapping[str, Any]) -> "AnalysisConfig":
-        """A copy where non-``None`` override knobs win over this config."""
-        changes = {k: v for k, v in overrides.items() if v is not None}
+        """A copy where non-``None`` override knobs win over this config.
+
+        Unknown names are kept (whatever their value) so
+        :meth:`from_knobs` rejects them by name.
+        """
+        changes = {
+            k: v for k, v in overrides.items()
+            if v is not None or k not in _FIELD_SET
+        }
         return self.from_knobs(**{**self.knobs(), **changes})
 
     # -------------------------------------------------------- knob views
@@ -290,13 +293,11 @@ class AnalysisConfig:
     def effective_backend(self) -> str:
         """The backend name this config runs on once defaults resolve:
         an explicit name wins, ``jobs=`` implies ``sharded``, otherwise
-        the best available single-process backend."""
+        the default single-process backend."""
         if self.backend is not None:
             return self.backend
         if self.jobs is not None:
             return "sharded"
-        from repro.core.backends import default_backend
-
         return default_backend()
 
     def resolved(self) -> "AnalysisConfig":
@@ -319,10 +320,13 @@ class AnalysisConfig:
     def to_wire(self) -> dict:
         """The canonical wire form: version + the non-``None`` wire knobs.
 
-        Non-wire fields (``deadline``, ``fault_injector``,
-        ``checkpoint``) never serialize: they are per-process or
-        per-request concerns, and including them would fork artifact
-        identities that are bit-identical by construction.
+        Non-wire fields (the execution knobs ``jobs``/``retries``/
+        ``shard_timeout``/``on_failure``/``deadline``, plus
+        ``fault_injector`` and ``checkpoint``) never serialize: they are
+        per-process or per-request concerns — a remote client must not
+        size the server's process pool or pick paths on its disk — and
+        including them would fork artifact identities that are
+        bit-identical by construction.
         """
         wire: dict = {"version": WIRE_VERSION}
         for key in WIRE_KNOB_KEYS:

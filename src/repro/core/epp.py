@@ -22,15 +22,13 @@ evaluations per site instead.
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 from collections.abc import Mapping, Sequence
 from repro.errors import AnalysisConfigError, AnalysisError
 from repro.core.backends import (
-    REGISTRY,
-    _vector_available,
     available_backends,
+    backend_info,
     default_backend,
 )
 from repro.core.config import AnalysisConfig
@@ -44,16 +42,20 @@ from repro.probability import signal_probabilities
 
 __all__ = ["EPPEngine", "EPPResult", "available_backends", "default_backend"]
 
-#: The built-in propagation backends, kept for backward compatibility.
-#: The authoritative roster is :data:`repro.core.backends.REGISTRY` —
-#: ``scalar`` is the per-site reference oracle (pure Python, one cone
-#: walk per site); ``vector`` is the batched NumPy backend
-#: (:mod:`repro.core.epp_batch`) that sweeps every site of a chunk
-#: through one level-parallel pass; ``sharded`` fans site shards out
-#: across a process pool of vector-backend workers
-#: (:mod:`repro.core.epp_shard`).  Registered backends beyond these
-#: resolve through the registry, not this tuple.
-BACKENDS = ("scalar", "vector", "sharded")
+def _config_of(
+    config: AnalysisConfig | None, knobs: Mapping
+) -> AnalysisConfig:
+    """The one :class:`~repro.core.config.AnalysisConfig` a call runs
+    under: ``config=`` as given, or one built from the keyword knobs.
+    Passing both is ambiguous, so it is rejected naming the knobs."""
+    if config is None:
+        return AnalysisConfig.from_knobs(**knobs)
+    if knobs:
+        raise AnalysisConfigError(
+            "pass either config= or individual analysis knobs, "
+            f"not both (got config= plus {sorted(knobs)})"
+        )
+    return config
 
 
 class EPPResult:
@@ -385,16 +387,6 @@ class EPPEngine:
 
     # -------------------------------------------------------------- analysis
 
-    def _resolve_backend(self, backend: str | None) -> str:
-        if backend is None:
-            return default_backend()
-        info = REGISTRY.get(backend)  # unknown-name check
-        if not info.available():
-            raise AnalysisError(
-                f"the {backend!r} EPP backend requires NumPy, which is not installed"
-            )
-        return backend
-
     def _get_vector_backend(self, config: AnalysisConfig):
         from repro.core.epp_batch import BatchEPPBackend, default_batch_size
 
@@ -423,31 +415,16 @@ class EPPEngine:
 
     def _get_sharded_backend(self, config: AnalysisConfig):
         from repro.core.epp_shard import ShardedEPPEngine, default_jobs
-        from repro.core.resilience import FaultPolicy
 
-        jobs = config.jobs
-        batch_size = config.batch_size
-        effective_jobs = int(jobs) if jobs is not None else default_jobs()
-        requested_batch = None if batch_size is None else int(batch_size)
-        # Resolve the knobs to a full policy *before* the cache check:
-        # the policy is part of the backend's identity, so changing (say)
-        # the retry budget rebuilds the pool rather than silently reusing
-        # one configured differently.
-        policy = FaultPolicy.from_config(config)
+        # The resolved config — jobs defaulted, sweep knobs normalized —
+        # is the backend's identity: changing (say) the retry budget or
+        # the checkpoint directory rebuilds the pool rather than silently
+        # reusing one configured differently.
+        jobs = int(config.jobs) if config.jobs is not None else default_jobs()
+        config = config.replace(backend="sharded", jobs=jobs).resolved()
         local = self._get_vector_backend(config)
-        checkpoint = config.checkpoint
         backend = self._sharded_backend
-        if (
-            backend is None
-            or backend.jobs != effective_jobs
-            or backend.requested_batch_size != requested_batch
-            or backend.local is not local
-            or backend.policy != policy
-            or backend.fault_injector is not config.fault_injector
-            or backend.checkpoint != (
-                None if checkpoint is None else os.fspath(checkpoint)
-            )
-        ):
+        if backend is None or backend.config != config or backend.local is not local:
             if backend is not None:
                 backend.close()
             backend = ShardedEPPEngine(
@@ -455,34 +432,20 @@ class EPPEngine:
                 self._sp,
                 track_polarity=self.track_polarity,
                 local_backend=local,
-                config=config.replace(jobs=effective_jobs),
+                config=config,
             )
             self._sharded_backend = backend
         return backend
 
-    def sharded_backend(
-        self,
-        jobs: int | None = None,
-        batch_size: int | None = None,
-        prune: bool | None = None,
-        schedule: str | None = None,
-        retries: int | None = None,
-        shard_timeout: float | None = None,
-        on_failure: str | None = None,
-        deadline: float | None = None,
-        fault_injector=None,
-        checkpoint=None,
-        config: AnalysisConfig | None = None,
-    ):
+    def sharded_backend(self, *, config: AnalysisConfig | None = None, **knobs):
         """The multi-process sharded driver bound to this engine.
 
         Exposes the bulk queries (``p_sensitized_many``, ``analyze_sites``),
         the pool lifecycle (``warm``/``close``) and the crossover knob
-        (``min_process_work``); raises :class:`~repro.errors.AnalysisError`
-        when NumPy is unavailable.  The engine holds one cache slot: the
-        *most recent* configuration — ``(jobs, batch_size)`` plus the
-        resolved :class:`~repro.core.resilience.FaultPolicy` — is reused
-        across calls, and requesting a different configuration closes the
+        (``min_process_work``).  Knobs come as ``config=`` or as keyword
+        knobs, never both.  The engine holds one cache slot: the *most
+        recent* resolved configuration is reused across calls, and
+        requesting a different configuration closes the
         previous instance's worker pool before building the new one (so
         the engine never accumulates live pools).  Alternate
         configurations per call by constructing
@@ -490,39 +453,21 @@ class EPPEngine:
         directly instead.
         """
         self._check_current()
-        self._resolve_backend("sharded")
-        if config is None:
-            config = AnalysisConfig(
-                backend="sharded", jobs=jobs, batch_size=batch_size,
-                prune=prune, schedule=schedule, retries=retries,
-                shard_timeout=shard_timeout, on_failure=on_failure,
-                deadline=deadline, fault_injector=fault_injector,
-                checkpoint=checkpoint,
-            )
-        return self._get_sharded_backend(config)
+        return self._get_sharded_backend(_config_of(config, knobs))
 
-    def vector_backend(
-        self,
-        batch_size: int | None = None,
-        prune: bool | None = None,
-        schedule: str | None = None,
-        config: AnalysisConfig | None = None,
-    ):
+    def vector_backend(self, *, config: AnalysisConfig | None = None, **knobs):
         """The batched NumPy backend bound to this engine (public access).
 
         Exposes the backend's bulk queries (``p_sensitized_many``,
         ``analyze_sites``) and tuning knobs (``min_vector_work``) without
-        reaching into engine internals; raises
-        :class:`~repro.errors.AnalysisError` when NumPy is unavailable.
-        The instance is cached per effective
-        (batch size, prune, schedule) configuration.
+        reaching into engine internals.  Knobs come as ``config=`` or as
+        keyword knobs, never both; sharded-only knobs are rejected.  The
+        instance is cached per effective (batch size, prune, schedule)
+        configuration.
         """
         self._check_current()
-        self._resolve_backend("vector")
-        if config is None:
-            config = AnalysisConfig(
-                batch_size=batch_size, prune=prune, schedule=schedule,
-            )
+        config = _config_of(config, knobs)
+        config.require_backend_support("vector")
         return self._get_vector_backend(config)
 
     def release_buffers(self) -> None:
@@ -543,8 +488,7 @@ class EPPEngine:
         self, sites: Sequence[int | str], backend: str, config: AnalysisConfig
     ) -> dict[str, EPPResult]:
         with self._sweep_lock:
-            info = REGISTRY.get(backend)
-            impl = info.factory(self, config)
+            impl = backend_info(backend).factory(self, config)
             site_ids = [self._cones.resolve(site) for site in sites]
             return impl.analyze_sites(site_ids)
 
@@ -571,8 +515,8 @@ class EPPEngine:
         level-parallel NumPy sweep of :mod:`repro.core.epp_batch`, and
         ``"sharded"`` fans site shards out across ``jobs`` worker processes
         each running the vector sweep (:mod:`repro.core.epp_shard`).  The
-        default (``None``) picks ``vector`` when NumPy is available — or
-        ``sharded`` when ``jobs`` is given explicitly.  All backends agree
+        default (``None``) picks ``vector`` — or ``sharded`` when ``jobs``
+        is given explicitly.  All backends agree
         to 1e-9 (floating-point reassociation only).  ``batch_size`` bounds
         the vector backend's per-chunk site count (default: sized to keep
         the state matrix in cache); ``jobs`` is the sharded worker count
@@ -621,18 +565,13 @@ class EPPEngine:
         is resolved or constructed.
         """
         self._check_current()
-        if config is not None and knobs:
-            raise AnalysisConfigError(
-                "pass either config= or individual analysis knobs, "
-                f"not both (got config= plus {sorted(knobs)})"
-            )
-        cfg = config if config is not None else AnalysisConfig.from_knobs(**knobs)
+        cfg = _config_of(config, knobs)
         if sites is None:
             sites = self.default_sites()
         sites = list(sites)
         if sample is not None and sample < len(sites):
             sites = random.Random(seed).sample(sites, sample)
-        backend = self._resolve_backend(cfg.effective_backend())
+        backend = cfg.effective_backend()
         # Re-check the sharded-only knobs against the *resolved* backend:
         # construction already rejected conflicts with an explicit
         # backend, but `retries=` with a defaulted vector backend only
@@ -700,16 +639,16 @@ class EPPEngine:
         """
         from repro.core.epp_delta import snapshot as _snapshot
 
-        if config is not None:
-            if knobs:
-                raise AnalysisConfigError(
-                    "pass either config= or individual analysis knobs, "
-                    f"not both (got config= plus {sorted(knobs)})"
-                )
-            knobs = config.knobs()
-        return _snapshot(self, sites=sites, **knobs)
+        return _snapshot(self, sites, _config_of(config, knobs))
 
-    def analyze_delta(self, prev, edits, sites: Sequence[int | str] | None = None, **knobs):
+    def analyze_delta(
+        self,
+        prev,
+        edits,
+        sites: Sequence[int | str] | None = None,
+        config: AnalysisConfig | None = None,
+        **knobs,
+    ):
         """Re-analyze after ``edits``, reusing every unaffected column.
 
         ``prev`` is a :class:`~repro.core.epp_delta.DeltaAnalysis` from
@@ -720,8 +659,10 @@ class EPPEngine:
         netlists, only dirty columns are re-swept, and the fresh packed
         arrays are spliced into the retained ones — bit-identical
         (``np.array_equal``) to a full re-analysis of the edited circuit.
-        Keyword knobs (``backend``/``jobs``/``batch_size``/...) override
-        the snapshot's for the re-sweep.
+        The re-sweep runs under the snapshot's config; ``config=``
+        replaces it outright, while keyword knobs
+        (``backend``/``jobs``/``batch_size``/...) override just the
+        knobs they name.
         """
         from repro.core.epp_delta import analyze_delta as _analyze_delta
 
@@ -731,7 +672,11 @@ class EPPEngine:
                 "different engine; call it on prev.engine (each delta "
                 "carries the engine of its own circuit revision)"
             )
-        return _analyze_delta(prev, edits, sites=sites, **knobs)
+        if config is None:
+            config = prev.config.merged_with(knobs)
+        else:
+            config = _config_of(config, knobs)
+        return _analyze_delta(prev, edits, sites, config)
 
     def dominant_path(self, site: int | str, sink: str | None = None) -> list[tuple[str, float]]:
         """The highest-probability error path from ``site`` to a sink.

@@ -17,7 +17,8 @@ re-analysis proportional to the edit instead:
   touched structurally.
 * :func:`snapshot` — a full vectorized analysis packaged with everything
   a later delta needs: the ``pack_sites`` arrays, the resolved SP map
-  and its provenance, the site-list semantics and the backend knobs.
+  and its provenance, the site-list semantics and the
+  :class:`~repro.core.config.AnalysisConfig` it ran under.
 * :func:`analyze_delta` — the incremental step.  A site's packed column
   depends only on its fanout cone's membership, those gates' functions
   and fanin lists, and the SPs the cone reads — so a site is dirty
@@ -48,11 +49,13 @@ exactly that, plus 1e-9 agreement with the scalar oracle.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.errors import AnalysisError, NetlistError
+from repro.core.backends import backend_info
+from repro.core.config import AnalysisConfig
 from repro.core.epp import EPPEngine
 from repro.netlist.circuit import Circuit, CompiledCircuit
 from repro.probability import signal_probabilities
@@ -65,26 +68,6 @@ __all__ = [
     "edit_impact",
     "snapshot",
 ]
-
-#: The analysis knobs a snapshot records and a delta may override — now
-#: the authoritative tuple of :mod:`repro.core.config`, re-exported so
-#: existing importers keep working.  The resilience knobs (sharded
-#: backend only, like ``jobs``) let a caller — the analysis service most
-#: of all — propagate a request's end-to-end deadline into
-#: :class:`~repro.core.resilience.FaultPolicy` for the sweep itself, not
-#: just the boundaries around it.  ``fault_injector`` is the chaos
-#: harness's hook (:class:`repro.testing.faults.FaultInjector`) —
-#: testing only, never accepted over the analysis-service wire.
-#: ``checkpoint`` (the sweep journal directory,
-#: :mod:`repro.core.checkpoint`) is likewise server-controlled, never
-#: wire-reachable: a client must not pick filesystem paths on the
-#: service host.
-from repro.core.config import (  # noqa: E402
-    KNOB_KEYS,
-    RESILIENCE_KNOB_KEYS,
-    SWEEP_KNOB_KEYS,
-    AnalysisConfig,
-)
 
 
 class EditSet:
@@ -372,7 +355,7 @@ class DeltaAnalysis:
     __slots__ = (
         "engine", "site_names", "site_ids", "packed", "default_sites",
         "user_sp", "sp_method", "sp_options", "sp_map", "sp_overrides",
-        "hardening", "knobs", "stats", "_results",
+        "hardening", "config", "stats", "_results",
     )
 
     def __init__(self):
@@ -397,17 +380,19 @@ class DeltaAnalysis:
         if self._results is None:
             with self.engine._sweep_lock:
                 backend = self.engine.vector_backend(
-                    **{key: self.knobs.get(key) for key in SWEEP_KNOB_KEYS}
+                    **self.config.sweep_kwargs()
                 )
                 collected: dict = {}
                 backend.materialize(self.site_ids, self.packed, collected)
                 self._results = collected
         return self._results
 
-    def apply(self, edits: EditSet, sites=None, **knobs) -> "DeltaAnalysis":
+    def apply(self, edits: EditSet, sites=None, config=None, **knobs) -> "DeltaAnalysis":
         """Chain: re-analyze this revision after ``edits`` (see
-        :func:`analyze_delta`)."""
-        return analyze_delta(self, edits, sites=sites, **knobs)
+        :meth:`~repro.core.epp.EPPEngine.analyze_delta`)."""
+        return self.engine.analyze_delta(
+            self, edits, sites=sites, config=config, **knobs
+        )
 
     def __repr__(self) -> str:
         return (
@@ -417,31 +402,16 @@ class DeltaAnalysis:
         )
 
 
-def _normalize_knobs(knobs: Mapping) -> dict:
-    # The config layer owns unknown-name rejection and value validation;
-    # a snapshot's knob record stays a plain dict (all keys present) so
-    # pickled DeltaAnalysis chains keep loading.
-    return AnalysisConfig.from_knobs(
-        **{k: v for k, v in knobs.items() if v is not None}
-    ).knobs()
-
-
-def _pack_backend(engine: EPPEngine, knobs: Mapping):
+def _pack_backend(engine: EPPEngine, config: AnalysisConfig):
     """The backend object whose ``pack_sites`` runs the (re-)sweep."""
-    from repro.core.backends import REGISTRY
-
-    config = AnalysisConfig.from_knobs(
-        **{k: v for k, v in knobs.items() if v is not None}
-    )
     backend = config.effective_backend()
-    info = REGISTRY.get(backend)  # validates the name
+    info = backend_info(backend)
     if not info.supports_pack:
         raise AnalysisError(
             "snapshot/analyze_delta run the packed vectorized path; "
             f"backend={backend!r} has no packed representation (use "
             f"engine.analyze(backend={backend!r}) for the per-site oracle)"
         )
-    engine._resolve_backend(backend)  # NumPy availability
     # Mirror analyze()'s guard: a retry budget or deadline on the
     # in-process path would be silently meaningless.
     config.require_backend_support(backend)
@@ -461,19 +431,18 @@ def _resolve_site_names(engine: EPPEngine, sites) -> tuple[list[str], bool]:
 
 def snapshot(
     engine: EPPEngine,
-    sites=None,
-    **knobs,
+    sites,
+    config: AnalysisConfig,
 ) -> DeltaAnalysis:
     """A full packed analysis plus the context for incremental deltas."""
     engine._check_current()
-    resolved = _normalize_knobs(knobs)
     # The sweep lock serializes the engine's shared scratch — backend
     # cache slots, cone cache, chunk-width state matrices — so the
     # service's coalescing layer can snapshot one engine from several
     # threads without corrupting a sweep in flight.  Reentrant: the
     # vector backend's scalar fallback re-enters through node_epp.
     with engine._sweep_lock:
-        backend = _pack_backend(engine, resolved)
+        backend = _pack_backend(engine, config)
         site_names, defaulted = _resolve_site_names(engine, sites)
         site_ids = [engine._cones.resolve(name) for name in site_names]
         packed = backend.pack_sites(site_ids)
@@ -495,7 +464,7 @@ def snapshot(
     # so a *fresh* snapshot of it keeps recomputed SP maps consistent.
     delta.sp_overrides = dict(getattr(engine, "_sp_delta_overrides", {}))
     delta.hardening = dict(getattr(engine, "_hardening_factors", {}))
-    delta.knobs = resolved
+    delta.config = config
     delta.stats = {
         "sites": len(site_names),
         "dirty": len(site_names),
@@ -506,7 +475,7 @@ def snapshot(
     return delta
 
 
-def _prepare(prev: DeltaAnalysis, edits: EditSet, sites, knobs: Mapping) -> dict:
+def _prepare(prev: DeltaAnalysis, edits: EditSet, sites) -> dict:
     """The analysis-independent front half of a delta: apply the edits,
     derive the new SP map and the edit frontier, classify sites."""
     engine = prev.engine
@@ -641,7 +610,7 @@ def edit_impact(prev: DeltaAnalysis, edits: EditSet, sites=None) -> dict:
     cost of a candidate edit (the benchmark harness does exactly this
     to pick representative edits).
     """
-    context = _prepare(prev, edits, sites, prev.knobs)
+    context = _prepare(prev, edits, sites)
     dirty = sum(context["dirty_flags"])
     return {
         "sites": len(context["site_names"]),
@@ -673,8 +642,8 @@ def _empty_packed() -> tuple:
 def analyze_delta(
     prev: DeltaAnalysis,
     edits: EditSet,
-    sites=None,
-    **knobs,
+    sites,
+    config: AnalysisConfig,
 ) -> DeltaAnalysis:
     """Incremental re-analysis: apply ``edits``, re-sweep only dirty sites.
 
@@ -682,19 +651,9 @@ def analyze_delta(
     packed arrays are ``np.array_equal`` to a full :func:`snapshot` of
     that circuit — retained columns are spliced in byte-for-byte (with
     sink positions remapped through the old→new sink-name map), dirty
-    columns come from a fresh ``pack_sites`` over the same backends.
-    Keyword knobs override the snapshot's for the re-sweep.
+    columns come from a fresh ``pack_sites`` under ``config``.
     """
-    # An override of one knob keeps the snapshot's choice for the rest.
-    merged_knobs = dict(prev.knobs)
-    for key, value in knobs.items():
-        if key not in KNOB_KEYS:
-            raise AnalysisError(
-                f"unknown analysis knob {key!r}; choose from {KNOB_KEYS}"
-            )
-        merged_knobs[key] = value
-
-    context = _prepare(prev, edits, sites, merged_knobs)
+    context = _prepare(prev, edits, sites)
     new_engine = context["new_engine"]
     site_names = context["site_names"]
     site_ids = context["site_ids"]
@@ -707,7 +666,7 @@ def analyze_delta(
     dirty_ids = [site_ids[int(position)] for position in dirty_positions]
     if dirty_ids:
         with new_engine._sweep_lock:
-            fresh = _pack_backend(new_engine, merged_knobs).pack_sites(dirty_ids)
+            fresh = _pack_backend(new_engine, config).pack_sites(dirty_ids)
     else:
         fresh = _empty_packed()
 
@@ -832,7 +791,7 @@ def analyze_delta(
     delta.sp_map = context["sp_map"]
     delta.sp_overrides = context["sp_overrides"]
     delta.hardening = context["hardening"]
-    delta.knobs = merged_knobs
+    delta.config = config
     delta.stats = {
         "sites": n_sites,
         "dirty": int(len(dirty_positions)),

@@ -90,7 +90,6 @@ from dataclasses import dataclass
 
 from repro.core.resilience import Deadline, FaultPolicy, ShardOutcome
 from repro.errors import (
-    AnalysisConfigError,
     AnalysisError,
     RetryBudgetExceededError,
     ShardTimeoutError,
@@ -523,13 +522,33 @@ class ShardedEPPEngine:
         Per-node P(1) indexed by node id, as the vector backend consumes.
     track_polarity:
         Mirrors the engine flag (forwarded to every worker backend).
-    jobs:
-        Worker process count; default one per available core.
-    batch_size:
-        Per-chunk site columns inside each worker's sweep.  When omitted,
-        the single-process chunk budget is divided across the pool so the
-        aggregate resident memory of a sharded run matches the vector
-        backend's, instead of multiplying by ``jobs``.
+    config:
+        The :class:`~repro.core.config.AnalysisConfig` carrying every
+        analysis knob (default: all defaults):
+
+        * ``jobs`` — worker process count; default one per available
+          core.
+        * ``batch_size`` — per-chunk site columns inside each worker's
+          sweep.  When omitted, the single-process chunk budget is
+          divided across the pool so the aggregate resident memory of a
+          sharded run matches the vector backend's, instead of
+          multiplying by ``jobs``.
+        * ``prune`` / ``schedule`` — the cone-aware sweep knobs (see
+          :class:`~repro.core.epp_batch.BatchEPPBackend`): ``prune`` is
+          forwarded to every worker backend; ``schedule`` drives the
+          *parent-side* partitioner — ``"auto"``/``"cone"`` orders the
+          site list by :func:`~repro.core.schedule.cone_cluster_order`
+          before the contiguous shard split, so shards (and the chunks
+          inside each worker) share fanout cones.
+        * ``retries`` / ``shard_timeout`` / ``on_failure`` / ``deadline``
+          — the :class:`~repro.core.resilience.FaultPolicy` governing
+          shard retries, backoff, deadlines and the terminal action.
+        * ``fault_injector`` — a
+          :class:`~repro.testing.faults.FaultInjector` shipped through
+          the pool initializer: test-only machinery for staging worker
+          crashes, stalls and transport failures deterministically.
+        * ``checkpoint`` — the sweep-journal directory (see
+          :meth:`_map_with_checkpoint`).
     min_process_work:
         Crossover threshold on ``n_nodes * n_sites`` below which calls run
         on the in-process vector backend; 0 forces the process path.
@@ -542,14 +561,6 @@ class ShardedEPPEngine:
         The in-process :class:`~repro.core.epp_batch.BatchEPPBackend` used
         below the crossover and for materializing worker results (built on
         demand when omitted; ``EPPEngine`` passes its cached one).
-    prune / schedule:
-        The cone-aware sweep knobs (see
-        :class:`~repro.core.epp_batch.BatchEPPBackend`): ``prune`` is
-        forwarded to every worker backend; ``schedule`` drives the
-        *parent-side* partitioner — ``"auto"``/``"cone"`` orders the site
-        list by :func:`~repro.core.schedule.cone_cluster_order` before the
-        contiguous shard split, so shards (and the chunks inside each
-        worker) share fanout cones.
     transport:
         Result wire format: ``"shm"`` (default on POSIX) ships packed
         arrays through shared-memory segments — only a tiny handle is
@@ -557,18 +568,6 @@ class ShardedEPPEngine:
         executor's result channel.  Per-shard traffic is tallied in
         :attr:`stats` (``shm_shards``/``pickle_shards``/``shm_bytes``/
         ``pickled_array_bytes``).
-    policy:
-        A :class:`~repro.core.resilience.FaultPolicy` governing shard
-        retries, backoff, deadlines and the terminal ``on_failure``
-        action.  Mutually exclusive with the individual knobs below.
-    retries / shard_timeout / on_failure / deadline:
-        Shorthand for the matching :class:`FaultPolicy` fields (``None``
-        means "the policy default") — the shapes ``EPPEngine.analyze``
-        and the CLI thread through.
-    fault_injector:
-        A :class:`~repro.testing.faults.FaultInjector` shipped through
-        the pool initializer — test-only machinery for staging worker
-        crashes, stalls and transport failures deterministically.
 
     The worker pool is created lazily on the first sharded call and reused
     across calls; :meth:`close` (or the context-manager protocol) tears it
@@ -585,54 +584,17 @@ class ShardedEPPEngine:
         signal_probs: Sequence[float],
         track_polarity: bool = True,
         *,
-        jobs: int | None = None,
-        batch_size: int | None = None,
+        config: "AnalysisConfig | None" = None,
         min_process_work: int = _MIN_PROCESS_WORK,
         shards_per_worker: int = _SHARDS_PER_WORKER,
         mp_context=None,
         local_backend=None,
-        prune: bool | None = None,
-        schedule: str | None = None,
         transport: str | None = None,
-        policy: FaultPolicy | None = None,
-        retries: int | None = None,
-        shard_timeout: float | None = None,
-        on_failure: str | None = None,
-        deadline: float | None = None,
-        fault_injector=None,
-        checkpoint=None,
-        config: "AnalysisConfig | None" = None,
     ):
         from repro.core.config import AnalysisConfig
 
-        # One validated config is the source of truth for every analysis
-        # knob (jobs/batch_size value checks and the unknown-knob guard
-        # included); the individual keyword parameters are the
-        # backward-compatible spelling and fold into one.  ``config=``
-        # plus individual knobs is ambiguous, so it is rejected naming
-        # the conflicting fields.
-        knob_params = {
-            "jobs": jobs, "batch_size": batch_size, "prune": prune,
-            "schedule": schedule, "retries": retries,
-            "shard_timeout": shard_timeout,
-            "on_failure": on_failure, "deadline": deadline,
-            "fault_injector": fault_injector, "checkpoint": checkpoint,
-        }
         if config is None:
-            config = AnalysisConfig.from_knobs(
-                backend="sharded",
-                **{k: v for k, v in knob_params.items() if v is not None},
-            )
-        else:
-            conflicting = sorted(
-                name for name, value in knob_params.items()
-                if value is not None
-            )
-            if conflicting:
-                raise AnalysisConfigError(
-                    "pass either config= or individual analysis knobs, "
-                    f"not both (got config= plus {conflicting})"
-                )
+            config = AnalysisConfig()
         resolved = config.resolved()
         #: The validated :class:`~repro.core.config.AnalysisConfig` this
         #: driver runs under (sweep knobs resolved, ``None`` -> auto).
@@ -654,17 +616,7 @@ class ShardedEPPEngine:
                 f"unknown transport {transport!r}; choose from {TRANSPORTS}"
             )
         self.transport = transport
-        if policy is None:
-            policy = FaultPolicy.from_config(resolved)
-        elif any(
-            getattr(resolved, knob) is not None
-            for knob in ("retries", "shard_timeout", "on_failure", "deadline")
-        ):
-            raise AnalysisError(
-                "pass either policy= or the individual resilience knobs "
-                "(retries/shard_timeout/on_failure/deadline), not both"
-            )
-        self.policy = policy
+        self.policy = FaultPolicy.from_config(resolved)
         self.fault_injector = resolved.fault_injector
         #: Directory for the per-shard sweep journal
         #: (:mod:`repro.core.checkpoint`), or ``None`` to disable.  Each
@@ -724,10 +676,6 @@ class ShardedEPPEngine:
             )
         self.local = local_backend
         self.batch_size = self.local.batch_size
-        #: The caller's explicit batch_size (None = defaulted) — part of
-        #: the engine-level cache identity, so an explicit width never
-        #: silently reuses a pool built with the derived default.
-        self.requested_batch_size = None if batch_size is None else int(batch_size)
         # Workers each hold their own state matrices, so the per-chunk
         # budget is divided across the pool: aggregate resident memory of a
         # sharded run stays at the single-process budget instead of
@@ -1488,27 +1436,39 @@ class ShardedEPPEngine:
                     # of blocking here until every in-flight sweep ends.
                     future.add_done_callback(self._discard_shard)
 
-    def _map_with_checkpoint(self, shards: list[list[int]], full: bool):
-        """:meth:`_map_shards` behind the sweep journal, when configured.
+    def _sweep_shards(self, shards: list[list[int]], local: bool):
+        """Yield ``(shard_index, packed)`` per shard: from the worker pool,
+        or — ``local`` — swept one by one on the in-process backend."""
+        if not local:
+            yield from self._map_shards(shards, full=True)
+            return
+        for index, shard in enumerate(shards):
+            yield index, self.local.pack_sites(shard)
+
+    def _map_with_checkpoint(self, shards: list[list[int]], local: bool):
+        """:meth:`_sweep_shards` behind the sweep journal, when configured.
 
         With no ``checkpoint`` directory this is exactly
-        :meth:`_map_shards`.  With one, shards already journaled by a
+        :meth:`_sweep_shards`.  With one, shards already journaled by a
         previous (possibly killed) process over the *identical* sweep —
         same payload digest, same partition — are yielded immediately
         from disk (``stats["checkpoint_shards"]``), then only the
-        unfinished shards go to the pool; each one is journaled
+        unfinished shards are swept; each one is journaled
         (``stats["checkpointed_shards"]``) the moment it completes,
         *before* it is merged, so a crash between two merges loses at
         most the shard in flight.  Exactly-once merge is preserved: a
-        shard comes from the journal or from the pool, never both.
+        shard comes from the journal or from a sweep, never both.  The
+        journal is the same whether the shards run on the pool or
+        in-process (columns are computed independently of where), so a
+        run below the crossover guard journals too.
         """
         if self.checkpoint is None:
-            yield from self._map_shards(shards, full)
+            yield from self._sweep_shards(shards, local)
             return
         from repro.core.checkpoint import ShardCheckpoint
 
         journal = ShardCheckpoint.open(
-            self.checkpoint, f"{self.payload_key()}|full={bool(full)}",
+            self.checkpoint, self.payload_key(),
             shards, on_store=self._checkpoint_on_store,
         )
         if journal.stats["resumed"]:
@@ -1525,17 +1485,18 @@ class ShardedEPPEngine:
             yield index, packed
         if not pending:
             return
-        for sub_index, packed in self._map_shards(
-            [shards[i] for i in pending], full
+        for sub_index, packed in self._sweep_shards(
+            [shards[i] for i in pending], local
         ):
             index = pending[sub_index]
             journal.store(index, packed)
             self.stats["checkpointed_shards"] += 1
             yield index, packed
-        # _map_shards rebound last_outcomes and numbered them within the
-        # pending subset; restore full-partition indices for the audit.
-        for outcome in self.last_outcomes:
-            outcome.shard = pending[outcome.shard]
+        if not local:
+            # _map_shards rebound last_outcomes and numbered them within
+            # the pending subset; restore full-partition indices.
+            for outcome in self.last_outcomes:
+                outcome.shard = pending[outcome.shard]
 
     # --------------------------------------------------------------- queries
 
@@ -1551,11 +1512,12 @@ class ShardedEPPEngine:
         site_ids = [int(site_id) for site_id in site_ids]
         if not site_ids:
             return {}
-        if self._use_local(len(site_ids)):
+        local = self._use_local(len(site_ids))
+        if local and self.checkpoint is None:
             return self.local.analyze_sites(site_ids)
         shards, _ = self._shards(site_ids)
         collected: dict = {}
-        for index, packed in self._map_with_checkpoint(shards, full=True):
+        for index, packed in self._map_with_checkpoint(shards, local):
             self.local.materialize(shards[index], packed, collected)
         # Shards complete out of order and the cone-clustered partition
         # permutes sites besides; one rebuild restores input order.
@@ -1577,11 +1539,12 @@ class ShardedEPPEngine:
         import numpy as np
 
         site_ids = [int(site_id) for site_id in site_ids]
-        if not site_ids or self._use_local(len(site_ids)):
+        local = self._use_local(len(site_ids))
+        if not site_ids or (local and self.checkpoint is None):
             return self.local.pack_sites(site_ids)
         shards, position_shards = self._shards(site_ids)
         parts: list = [None] * len(shards)
-        for index, packed in self._map_with_checkpoint(shards, full=True):
+        for index, packed in self._map_with_checkpoint(shards, local):
             parts[index] = packed
         packed = tuple(
             np.concatenate([part[i] for part in parts]) for i in range(5)

@@ -122,17 +122,12 @@ class FaultPolicy:
             )
 
     @classmethod
-    def from_knobs(
-        cls,
-        retries: int | None = None,
-        shard_timeout: float | None = None,
-        on_failure: str | None = None,
-        deadline: float | None = None,
-    ) -> "FaultPolicy":
-        """Build a policy from the user-facing knobs, defaulting the rest.
+    def from_config(cls, config) -> "FaultPolicy":
+        """The policy an :class:`~repro.core.config.AnalysisConfig`
+        (duck-typed, so this module stays import-light) asks for,
+        defaulting every knob it leaves ``None``.
 
-        The single resolution point for ``EPPEngine.analyze`` /
-        ``SERAnalyzer`` / the CLI: ``None`` means "the default", so the
+        The single resolution point for the sharded driver, so the
         engine-level backend cache can compare policies structurally.
 
         Non-positive timeouts are rejected *here*, with
@@ -141,6 +136,9 @@ class FaultPolicy:
         style flags, and before this check a bad value would surface deep
         in the shard scheduler as an opaque :class:`AnalysisError`.
         """
+        retries = config.retries
+        shard_timeout = config.shard_timeout
+        deadline = config.deadline
         if shard_timeout is not None and float(shard_timeout) <= 0.0:
             raise ConfigError(
                 f"--shard-timeout must be > 0 seconds, got {shard_timeout} "
@@ -158,23 +156,11 @@ class FaultPolicy:
             kwargs["retries"] = int(retries)
         if shard_timeout is not None:
             kwargs["shard_timeout"] = float(shard_timeout)
-        if on_failure is not None:
-            kwargs["on_failure"] = on_failure
+        if config.on_failure is not None:
+            kwargs["on_failure"] = config.on_failure
         if deadline is not None:
             kwargs["deadline"] = float(deadline)
         return cls(**kwargs)
-
-    @classmethod
-    def from_config(cls, config) -> "FaultPolicy":
-        """:meth:`from_knobs` over an
-        :class:`~repro.core.config.AnalysisConfig` (duck-typed, so this
-        module stays import-light)."""
-        return cls.from_knobs(
-            retries=config.retries,
-            shard_timeout=config.shard_timeout,
-            on_failure=config.on_failure,
-            deadline=config.deadline,
-        )
 
     @property
     def max_attempts(self) -> int:

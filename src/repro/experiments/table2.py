@@ -4,9 +4,10 @@ For every circuit the harness measures, mirroring the paper's columns:
 
 * **SysT** — mean EPP run time per node (milliseconds).  Measured over a
   deterministic sample of sites (cone extraction included).  With
-  ``Table2Config(backend="vector")`` the sample runs through the batched
-  NumPy backend instead and SysT reports the amortized per-node cost of
-  the level-parallel sweep (``--backend vector`` on the CLI);
+  ``Table2Config(analysis=AnalysisConfig(backend="vector"))`` the sample
+  runs through the batched NumPy backend instead and SysT reports the
+  amortized per-node cost of the level-parallel sweep (``--backend
+  vector`` on the CLI);
   ``backend="sharded"`` (``--backend sharded --jobs N``) fans that sweep
   across a warmed pool of ``jobs`` worker processes.
 * **SimT** — mean *serial* random-simulation run time per node (seconds),
@@ -59,6 +60,7 @@ from repro.core.baseline import (
     RandomSimulationEstimator,
     SerialRandomSimulationEstimator,
 )
+from repro.core.config import AnalysisConfig
 from repro.core.epp import EPPEngine
 from repro.errors import ConfigError
 from repro.experiments.profiles import PAPER_TABLE2, TABLE2_CIRCUITS
@@ -93,69 +95,46 @@ class Table2Config:
     #: sites timed with the EPP engine (per-node SysT average)
     epp_sites: int = 200
     seed: int = 2005
-    #: EPP propagation backend for the SysT column: ``scalar`` preserves the
-    #: paper's one-cone-per-site accounting (the reference oracle);
-    #: ``vector`` times the batched NumPy backend, so SysT becomes the
-    #: *amortized* per-node cost of a level-parallel sweep; ``sharded``
-    #: fans that sweep out across ``jobs`` worker processes (the pool is
-    #: warmed outside the timed region, so SysT stays an amortized
-    #: steady-state per-node cost).
-    backend: str = "scalar"
-    #: worker processes for the sharded backend (None: one per core)
-    jobs: int | None = None
+    #: The SysT column's EPP knobs.  ``backend="scalar"`` (the default)
+    #: preserves the paper's one-cone-per-site accounting (the reference
+    #: oracle); ``vector`` times the batched NumPy backend, so SysT
+    #: becomes the *amortized* per-node cost of a level-parallel sweep;
+    #: ``sharded`` fans that sweep out across ``jobs`` worker processes
+    #: (the pool is warmed outside the timed region, so SysT stays an
+    #: amortized steady-state per-node cost).  ``prune``/``schedule``
+    #: shape the vector/sharded sweeps.
+    analysis: AnalysisConfig = field(
+        default_factory=lambda: AnalysisConfig(backend="scalar")
+    )
     #: roster-level parallelism: fan whole circuits across this many
     #: worker processes (None/1: measure the roster serially).  Mutually
     #: exclusive with ``backend="sharded"`` — one level of process
     #: parallelism at a time, never nested pools.
     circuit_jobs: int | None = None
-    #: cone-aware sparse sweep for the vector/sharded backends
-    #: (None: enabled — the backends' own default)
-    prune: bool | None = None
-    #: chunk scheduling for the vector/sharded backends
-    #: (None: auto — cone-cluster multi-chunk site lists)
-    schedule: str | None = None
 
     def __post_init__(self) -> None:
         for name in ("sim_vectors", "sim_sites", "accuracy_sites",
                      "reference_vectors", "sp_vectors", "epp_sites"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"Table2Config.{name} must be >= 1")
-        if self.backend not in ("scalar", "vector", "sharded"):
-            raise ConfigError(
-                f"Table2Config.backend must be 'scalar', 'vector' or "
-                f"'sharded', got {self.backend!r}"
-            )
-        if self.jobs is not None and self.jobs < 1:
-            raise ConfigError(f"Table2Config.jobs must be >= 1, got {self.jobs}")
-        if self.jobs is not None and self.backend != "sharded":
-            raise ConfigError(
-                "Table2Config.jobs applies to the 'sharded' backend only, "
-                f"got backend={self.backend!r}"
-            )
+        backend = self.analysis.effective_backend()
         if self.circuit_jobs is not None and self.circuit_jobs < 1:
             raise ConfigError(
                 f"Table2Config.circuit_jobs must be >= 1, got {self.circuit_jobs}"
             )
         if self.circuit_jobs is not None and self.circuit_jobs > 1 \
-                and self.backend == "sharded":
+                and backend == "sharded":
             raise ConfigError(
                 "Table2Config.circuit_jobs cannot be combined with "
                 "backend='sharded': roster workers would spawn nested "
                 "process pools"
             )
-        from repro.core.schedule import SCHEDULES
-
-        if self.schedule is not None and self.schedule not in SCHEDULES:
-            raise ConfigError(
-                f"Table2Config.schedule must be one of {SCHEDULES}, "
-                f"got {self.schedule!r}"
-            )
-        if self.backend == "scalar" and not (
-            self.prune is None and self.schedule is None
+        if backend == "scalar" and not (
+            self.analysis.prune is None and self.analysis.schedule is None
         ):
-            # Mirror the jobs-requires-sharded guard: the scalar column
-            # ignores both knobs, and silently reporting scalar timings
-            # under a "dense"/"clustered" label would mislead.
+            # The scalar column ignores both knobs, and silently
+            # reporting scalar timings under a "dense"/"clustered" label
+            # would mislead.
             raise ConfigError(
                 "Table2Config.prune/schedule apply to the 'vector' and "
                 "'sharded' backends only, got backend='scalar'"
@@ -163,21 +142,6 @@ class Table2Config:
         unknown = [c for c in self.circuits if c not in ISCAS89_PROFILES]
         if unknown:
             raise ConfigError(f"unknown Table 2 circuits: {unknown}")
-
-    def analysis_config(self):
-        """The roster's EPP knobs as one
-        :class:`~repro.core.config.AnalysisConfig` — the SysT column's
-        backend construction goes through the same typed option layer as
-        ``EPPEngine.analyze`` (``circuit_jobs`` stays here: roster-level
-        fan-out is a harness concern, not an analysis knob)."""
-        from repro.core.config import AnalysisConfig
-
-        return AnalysisConfig(
-            backend=self.backend,
-            jobs=self.jobs,
-            prune=self.prune,
-            schedule=self.schedule,
-        )
 
     @staticmethod
     def quick(circuits: Sequence[str] | None = None) -> "Table2Config":
@@ -321,7 +285,8 @@ def run_table2_circuit(
         if config.epp_sites < k
         else list(sites_all)
     )
-    if config.backend in ("vector", "sharded"):
+    backend_name = config.analysis.effective_backend()
+    if backend_name in ("vector", "sharded"):
         # Amortized per-node cost of the batched level-parallel sweep,
         # through p_sensitized_many — the exact vector twin of the scalar
         # p_sensitized fast path below (no per-sink dict assembly in
@@ -331,20 +296,19 @@ def run_table2_circuit(
         # its pool is warmed first so SysT reports the steady-state
         # amortized cost, not a one-off process spin-up.
         site_ids = [engine.compiled.index[site] for site in epp_sites]
-        analysis_config = config.analysis_config()
-        if config.backend == "sharded":
+        if backend_name == "sharded":
             # The caller asked for sharded explicitly, so bypass the
             # crossover guard — the site *sample* sits below the threshold
             # for most roster circuits, and routing it in-process would
             # silently report vector timings under a sharded label.  The
             # pool is warmed first (workers forked and initialized) so the
             # timed block below measures steady-state sweeps.
-            backend = engine.sharded_backend(config=analysis_config)
+            backend = engine.sharded_backend(config=config.analysis)
             backend.min_process_work = 0
             backend.warm()
             cleanup = backend.close
         else:
-            backend = engine.vector_backend(config=analysis_config)
+            backend = engine.vector_backend(config=config.analysis)
             # Bypass the small-workload crossover: the site *sample* can
             # sit below min_vector_work on small rosters, and delegating
             # to the scalar kernel would silently report scalar timings

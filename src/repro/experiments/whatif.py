@@ -146,7 +146,7 @@ def run_whatif(
     start = time.perf_counter()
     full = delta.engine.snapshot(
         sites=None if delta.default_sites else delta.site_names,
-        **delta.knobs,
+        config=delta.config,
     )
     full_s = time.perf_counter() - start
 

@@ -24,10 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container ships NumPy
-    _np = None
+import numpy as _np
 
 from repro.errors import ProbabilityError
 from repro.netlist.circuit import Circuit, CompiledCircuit
@@ -148,7 +145,7 @@ def compute_signal_probabilities(
         Optional out-parameter collecting iteration count and final delta.
     """
     compiled = circuit.compiled() if isinstance(circuit, Circuit) else circuit
-    use_vector = _np is not None and compiled.n >= _VEC_MIN_NODES
+    use_vector = compiled.n >= _VEC_MIN_NODES
     # The vectorized pass appends two sentinel slots (SP 1.0 / 0.0) used to
     # pad mixed-arity gate groups; see _SPLevelPlan.
     probs = _np.zeros(compiled.n + 2) if use_vector else [0.0] * compiled.n

@@ -66,10 +66,12 @@ __all__ = [
 OPS = ("ping", "stats", "analyze", "analyze_delta")
 
 #: Analysis knobs accepted over the wire — re-exported from
-#: :mod:`repro.core.config`, where field metadata marks the JSON-able
-#: subset (``fault_injector``/``checkpoint``/``deadline`` are local or
-#: per-request concerns and deliberately not knob-reachable from a
-#: socket; ``deadline`` has its own top-level request field).
+#: :mod:`repro.core.config`, where field metadata marks the wire subset.
+#: The execution knobs (``jobs``/``retries``/``shard_timeout``/
+#: ``on_failure``) and ``fault_injector``/``checkpoint``/``deadline`` are
+#: the server's or per-request concerns and deliberately not
+#: knob-reachable from a socket: ``serve --jobs`` owns the process count,
+#: and ``deadline`` has its own top-level request field.
 from repro.core.config import WIRE_KNOB_KEYS, AnalysisConfig  # noqa: E402
 
 #: Requests above this size are rejected before JSON parsing: a single
@@ -81,22 +83,13 @@ class Request:
     """A validated request (everything past :func:`parse_request`)."""
 
     __slots__ = (
-        "op", "bench", "circuit", "sites", "knobs", "config", "deadline",
+        "op", "bench", "circuit", "sites", "config", "deadline",
         "client", "fit", "top", "coalesce", "edits", "idempotency",
     )
 
     def __init__(self, **fields):
         for name in self.__slots__:
             setattr(self, name, fields.get(name))
-
-    @property
-    def analysis_config(self) -> AnalysisConfig:
-        """The request's knobs as one validated
-        :class:`~repro.core.config.AnalysisConfig` (built at parse time;
-        tests constructing a bare :class:`Request` get it lazily)."""
-        if self.config is None:
-            self.config = AnalysisConfig.from_wire(self.knobs or {})
-        return self.config
 
     @property
     def circuit_spec(self):
@@ -179,7 +172,6 @@ def parse_request(obj: dict) -> Request:
         bench=bench,
         circuit=circuit,
         sites=sites,
-        knobs=dict(knobs),
         config=config,
         deadline=deadline,
         client=str(obj.get("client") or "anon"),

@@ -197,8 +197,10 @@ class AnalysisService:
     client_inflight:
         Per-client in-flight cap (admitted, not yet answered).
     jobs:
-        Default sharded worker count for sweeps; ``None`` keeps sweeps
-        on the in-process vector backend unless a request asks.
+        Sharded worker count for every sharded sweep (requests cannot
+        set it); ``None`` keeps sweeps on the in-process vector backend
+        unless a request asks for ``backend="sharded"``, which then runs
+        one worker per core.
     default_deadline:
         Applied to requests that carry none (``None``: unbounded).
     max_engines:
@@ -324,7 +326,7 @@ class AnalysisService:
 
         for spec in self.warm:
             req = Request(
-                op="analyze", circuit=spec, bench=None, knobs={},
+                op="analyze", circuit=spec, bench=None,
                 config=AnalysisConfig(),
             )
             state = self._state_for(req)
@@ -507,7 +509,7 @@ class AnalysisService:
         # field order and construction path, and WIRE_VERSION-stamped so
         # a wire-format bump can never alias a pre-bump key.
         return digest_of(
-            "analyze", req.circuit_spec, req.analysis_config.digest(),
+            "analyze", req.circuit_spec, req.config.digest(),
             req.sites, req.fit, req.top,
         )
 
@@ -523,7 +525,7 @@ class AnalysisService:
         """What an idempotency key must stay bound to: the request body."""
         return digest_of(
             "request", req.op, req.circuit_spec,
-            req.analysis_config.digest(),
+            req.config.digest(),
             req.sites, req.fit, req.top, req.edits,
         )
 
@@ -745,58 +747,45 @@ class AnalysisService:
             old.close()
         return state
 
-    def _sweep_knobs(self, req, deadline, dedicated: bool) -> tuple[dict, bool]:
-        """Resolve request knobs into sweep knobs; returns (knobs, degraded).
+    def _sweep_config(self, req, deadline, dedicated: bool) -> tuple:
+        """Resolve the request's config into the sweep's; returns
+        ``(config, degraded)``.
 
-        A dedicated (non-coalesced) sharded sweep carries the request's
-        remaining budget into ``FaultPolicy.deadline``; shared sweeps
-        run under no per-request policy (subscribers each enforce their
-        own deadline while waiting), keeping the warm pool's policy —
-        and therefore the pool itself — stable across requests.
+        The process count is the server's own (``serve --jobs``), never
+        the request's.  A dedicated (non-coalesced) sharded sweep carries
+        the request's remaining budget into ``FaultPolicy.deadline``;
+        shared sweeps run under no per-request policy (subscribers each
+        enforce their own deadline while waiting), keeping the warm
+        pool's policy — and therefore the pool itself — stable across
+        requests.
         """
-        knobs = dict(req.knobs)
-        if (
-            self.jobs is not None
-            and knobs.get("jobs") is None
-            and knobs.get("backend") in (None, "sharded")
-        ):
-            knobs["jobs"] = self.jobs
-            knobs["backend"] = "sharded"
-        sharded = knobs.get("backend") == "sharded" or knobs.get("jobs") is not None
-        if not sharded:
-            return knobs, False
+        config = req.config
+        if self.jobs is not None and config.backend in (None, "sharded"):
+            config = config.replace(backend="sharded", jobs=self.jobs)
+        if config.backend != "sharded":
+            return config, False
         if not self.breaker.allow_sharded():
-            return self._degrade_knobs(knobs), True
-        knobs.setdefault("backend", "sharded")
-        if self.engine_faults is not None:
-            knobs["fault_injector"] = self.engine_faults
+            return self._degrade_config(config), True
+        changes = {"fault_injector": self.engine_faults}
         if self.store.store_dir is not None:
             # Server-controlled (never wire-reachable) sweep journal, one
             # directory per circuit: a sweep the server dies inside is
             # resumed — not restarted — by its successor.
-            knobs["checkpoint"] = os.path.join(
+            changes["checkpoint"] = os.path.join(
                 self.store.store_dir, "checkpoints",
                 digest_of("circuit", req.circuit_spec),
             )
         if dedicated:
-            # Explicit (possibly None) so a delta re-sweep never inherits
-            # a *previous* request's deadline through the snapshot knobs.
-            knobs["deadline"] = deadline.remaining()
-        return knobs, False
+            changes["deadline"] = deadline.remaining()
+        return config.replace(**changes), False
 
     @staticmethod
-    def _degrade_knobs(knobs: dict) -> dict:
-        degraded = {
-            key: value for key, value in knobs.items()
-            if key not in _SHARDED_ONLY
-        }
-        degraded["backend"] = "vector"
-        # Explicit None overrides survive knob merging in analyze_delta,
-        # clearing any sharded-only knob a snapshot may have recorded.
-        for key in _SHARDED_ONLY:
-            degraded[key] = None
-        degraded["jobs"] = None
-        return degraded
+    def _degrade_config(config):
+        """``config`` on the in-process vector backend: every
+        sharded-only knob cleared."""
+        return config.replace(
+            backend="vector", **dict.fromkeys(_SHARDED_ONLY)
+        )
 
     def _run_request(self, req, deadline, index) -> dict:
         state = self._state_for(req)
@@ -816,7 +805,7 @@ class AnalysisService:
     def _sweep(self, req, state, deadline, run, dedicated, index) -> tuple:
         """Run one sweep under the breaker: returns (delta, degraded).
 
-        ``run`` is a callable taking the resolved sweep knobs.  A
+        ``run`` is a callable taking the resolved sweep config.  A
         transient :class:`ResilienceError` from a sharded sweep counts
         against the breaker and degrades *this* request to the
         in-process backend — bit-identical — unless the failure was
@@ -827,12 +816,12 @@ class AnalysisService:
         the initial attempt only: they model the service/pool side, and
         the degrade retry is exactly the recovery being pinned.
         """
-        knobs, degraded = self._sweep_knobs(req, deadline, dedicated)
-        sharded = knobs.get("backend") == "sharded"
+        config, degraded = self._sweep_config(req, deadline, dedicated)
+        sharded = config.backend == "sharded"
         try:
             if self.faults is not None:
                 self.faults.apply("sweep", req.op, index)
-            delta = run(knobs)
+            delta = run(config)
         except ResilienceError as exc:
             if deadline.expired():
                 raise DeadlineExceededError(
@@ -841,7 +830,7 @@ class AnalysisService:
             if not sharded:
                 raise
             self.breaker.record_failure()
-            delta = run(self._degrade_knobs(knobs))
+            delta = run(self._degrade_config(config))
             degraded = True
         else:
             if sharded and not degraded:
@@ -851,7 +840,7 @@ class AnalysisService:
     def _run_analyze(self, req, state, deadline, index) -> dict:
         token = state.circuit.mutation_token
         result_key = digest_of(
-            "analyze", state.digest, req.analysis_config.digest(),
+            "analyze", state.digest, req.config.digest(),
             req.sites, req.fit, req.top,
         )
         if self.faults is not None and self.faults.should(
@@ -869,8 +858,8 @@ class AnalysisService:
             self.counters["deadline_plan"] += 1
             raise DeadlineExceededError("deadline expired before plan build")
 
-        def run(knobs):
-            return state.engine.snapshot(sites=req.sites, **knobs)
+        def run(config):
+            return state.engine.snapshot(sites=req.sites, config=config)
 
         delta, degraded = self._sweep(
             req, state, deadline, run, dedicated=not req.coalesce, index=index
@@ -901,15 +890,16 @@ class AnalysisService:
             if state.delta is None:
                 # Cold chain: charge the base snapshot to this request.
                 base, base_degraded = self._sweep(
-                    req, state, deadline, lambda knobs: state.engine.snapshot(**knobs),
+                    req, state, deadline,
+                    lambda config: state.engine.snapshot(config=config),
                     dedicated=True, index=index,
                 )
                 state.delta = base
             previous = state.delta
 
-            def run(knobs):
+            def run(config):
                 return previous.engine.analyze_delta(
-                    previous, edits, sites=req.sites, **knobs
+                    previous, edits, sites=req.sites, config=config
                 )
 
             delta, degraded = self._sweep(

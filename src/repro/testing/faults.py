@@ -3,7 +3,7 @@
 A :class:`FaultInjector` is a picklable, *seeded* description of
 failures to stage inside worker processes.  The sharded driver threads
 it through the executor initializer
-(``ShardedEPPEngine(fault_injector=...)``); every worker consults it at
+(``AnalysisConfig(fault_injector=...)``); every worker consults it at
 two well-defined stages of :func:`repro.core.epp_shard._run_shard`:
 
 * ``"kernel"`` — immediately before the shard's sweep: ``crash`` kills

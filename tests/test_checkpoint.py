@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import ShardCheckpoint, shard_digest
+from repro.core.config import AnalysisConfig
 from repro.core.durable import (
     CorruptRecordError,
     atomic_write_bytes,
@@ -222,8 +223,8 @@ def s953_engine():
 
 def _sharded(engine, checkpoint=None):
     return ShardedEPPEngine(
-        engine.compiled, engine._sp, jobs=2, min_process_work=0,
-        checkpoint=checkpoint,
+        engine.compiled, engine._sp, min_process_work=0,
+        config=AnalysisConfig(jobs=2, checkpoint=checkpoint),
     )
 
 
@@ -273,6 +274,36 @@ class TestEngineCheckpointResume:
         assert all(np.array_equal(a, b) for a, b in zip(reference, packed))
         assert list((tmp_path / "ck" / "quarantine").iterdir())
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_in_process_checkpoint_journals_and_resumes(
+        self, tmp_path, s953_engine, jobs
+    ):
+        # Below the crossover guard (jobs=1, or s953 at the default
+        # min_process_work) the sweep stays in-process; it must still
+        # journal every shard, and a fresh driver must resume them all.
+        engine = s953_engine
+        ids = [engine.compiled.index[s] for s in engine.default_sites()]
+        reference = engine.vector_backend().pack_sites(ids)
+        config = AnalysisConfig(jobs=jobs, checkpoint=tmp_path / "ck")
+
+        cold = ShardedEPPEngine(engine.compiled, engine._sp, config=config)
+        assert cold._use_local(len(ids))
+        cold_packed = cold.pack_sites(ids)
+        n_shards = cold.stats["checkpointed_shards"]
+        assert n_shards == len(cold._shards(ids)[0]) > 1
+        assert len(list((tmp_path / "ck").glob("shard_*.shard"))) == n_shards
+        assert not cold.pool_started
+        cold.close()
+
+        warm = ShardedEPPEngine(engine.compiled, engine._sp, config=config)
+        warm_packed = warm.pack_sites(ids)
+        assert warm.stats["checkpoint_shards"] == n_shards
+        assert warm.stats["checkpointed_shards"] == 0
+        assert not warm.pool_started
+        warm.close()
+        for packed in (cold_packed, warm_packed):
+            assert all(np.array_equal(a, b) for a, b in zip(reference, packed))
+
     def test_checkpoint_knob_reaches_analyze(self, tmp_path):
         # The public path: EPPEngine.analyze(checkpoint=...) threads the
         # directory into the sharded backend, and journaling must not
@@ -310,6 +341,7 @@ class TestEngineCheckpointResume:
 
 _CRASH_SCRIPT = """
 import sys
+from repro.core.config import AnalysisConfig
 from repro.core.epp import EPPEngine
 from repro.core.epp_shard import ShardedEPPEngine
 from repro.netlist.generate import generate_iscas
@@ -318,8 +350,8 @@ from repro.testing.faults import KillAfterShards
 engine = EPPEngine(generate_iscas("s953"))
 ids = [engine.compiled.index[s] for s in engine.default_sites()]
 backend = ShardedEPPEngine(
-    engine.compiled, engine._sp, jobs=2, min_process_work=0,
-    checkpoint=sys.argv[1],
+    engine.compiled, engine._sp, min_process_work=0,
+    config=AnalysisConfig(jobs=2, checkpoint=sys.argv[1]),
 )
 # SIGKILL this process the instant the 3rd shard record is durable on
 # disk -- after the journal write, before the merge.  No cleanup runs.
@@ -394,8 +426,8 @@ class TestKillNineRestart:
         ids = [engine.compiled.index[s] for s in engine.default_sites()]
         clean = engine.vector_backend().pack_sites(ids)
         resumed = ShardedEPPEngine(
-            engine.compiled, engine._sp, jobs=2, min_process_work=0,
-            checkpoint=ck,
+            engine.compiled, engine._sp, min_process_work=0,
+            config=AnalysisConfig(jobs=2, checkpoint=ck),
         )
         packed = resumed.pack_sites(ids)
         # >= 1 shard served from the journal (here: every journaled one).

@@ -14,9 +14,9 @@ Covers the consolidation contracts:
   outside the server's strict mode;
 * reflection — the CLI ``analyze``/``analyze-delta``/``serve`` flag
   sets and the config field metadata are the same surface, 1:1;
-* the registry — registering a stub backend makes it reachable from
-  ``EPPEngine.analyze(backend="stub")`` and the CLI parser with zero
-  edits outside the registration call.
+* the backend table — the CLI ``--backend`` choices are exactly
+  :data:`~repro.core.backends.BACKENDS`, and an unknown name is a typed
+  error naming the choices.
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import build_parser
-from repro.core.backends import (
-    REGISTRY,
-    BackendInfo,
-    ScalarBackend,
-    default_backend,
-)
+from repro.core.backends import BACKENDS, default_backend
 from repro.core.config import (
     KNOB_KEYS,
     RESILIENCE_KNOB_KEYS,
@@ -123,6 +118,13 @@ class TestDerivedTables:
         assert "checkpoint" not in WIRE_KNOB_KEYS
         assert "deadline" not in WIRE_KNOB_KEYS
 
+    def test_wire_keys_exclude_execution_knobs(self):
+        # The server owns its process count and recovery policy: a
+        # socket must not size the pool, and knobs that never change a
+        # result must not fork result identities.
+        assert WIRE_KNOB_KEYS == ("backend", "batch_size", "prune", "schedule")
+        assert WIRE_VERSION == 4
+
     def test_resilience_keys_are_sharded_only_minus_jobs(self):
         assert RESILIENCE_KNOB_KEYS == tuple(
             k for k in SHARDED_ONLY_KNOBS if k != "jobs"
@@ -153,26 +155,16 @@ class TestDerivedTables:
 _WIRE_VALUES = {
     "backend": st.sampled_from([None, "scalar", "vector", "sharded"]),
     "batch_size": st.one_of(st.none(), st.integers(1, 64)),
-    "jobs": st.one_of(st.none(), st.integers(1, 8)),
     "prune": st.sampled_from([None, True, False, "auto"]),
     "schedule": st.sampled_from([None, "auto", "cone", "input"]),
-    "retries": st.one_of(st.none(), st.integers(0, 5)),
-    "shard_timeout": st.one_of(st.none(), st.floats(0.1, 60.0)),
-    "on_failure": st.sampled_from([None, "retry", "degrade", "raise"]),
 }
 
 
 @st.composite
 def wire_configs(draw):
-    """Valid wire-representable configs (no construction conflicts)."""
-    knobs = {key: draw(_WIRE_VALUES[key]) for key in _WIRE_VALUES}
-    sharded_requested = any(
-        knobs[key] is not None for key in ("jobs", "retries",
-                                           "shard_timeout", "on_failure")
-    )
-    if sharded_requested and knobs["backend"] not in (None, "sharded"):
-        knobs["backend"] = draw(st.sampled_from([None, "sharded"]))
-    return AnalysisConfig(**knobs)
+    """Valid wire-representable configs (every wire knob drawn)."""
+    assert tuple(_WIRE_VALUES) == WIRE_KNOB_KEYS
+    return AnalysisConfig(**{key: draw(_WIRE_VALUES[key]) for key in _WIRE_VALUES})
 
 
 class TestWireRoundTrip:
@@ -314,63 +306,23 @@ class TestCLIReflection:
         assert PROTOCOL_KEYS == WIRE_KNOB_KEYS
 
 
-# ----------------------------------------------------------------- registry
-
-
-def _register_stub():
-    info = BackendInfo(
-        name="stub",
-        factory=lambda engine, config: ScalarBackend(engine),
-        description="test-only: the scalar oracle under a fourth name",
-    )
-    REGISTRY.register(info)
-    return info
+# ------------------------------------------------------------ backend table
 
 
 class TestBackendRegistry:
-    def test_duplicate_registration_rejected(self):
-        _register_stub()
-        try:
-            with pytest.raises(ConfigError, match="already registered"):
-                _register_stub()
-        finally:
-            REGISTRY.unregister("stub")
-
-    def test_stub_backend_reaches_engine_analyze(self):
-        _register_stub()
-        try:
-            engine = EPPEngine(s27())
-            via_stub = engine.analyze(backend="stub")
-            via_scalar = engine.analyze(backend="scalar")
-            assert via_stub.keys() == via_scalar.keys()
-            for site in via_stub:
-                assert (
-                    via_stub[site].p_sensitized
-                    == via_scalar[site].p_sensitized
-                )
-        finally:
-            REGISTRY.unregister("stub")
-
-    def test_stub_backend_reaches_the_cli_with_zero_edits(self):
-        _register_stub()
-        try:
-            analyze = _subcommand("analyze")
-            for action in analyze._actions:
-                if "--backend" in action.option_strings:
-                    assert "stub" in action.choices
-                    break
-            else:  # pragma: no cover
-                raise AssertionError("analyze has no --backend flag")
-        finally:
-            REGISTRY.unregister("stub")
-
-    def test_stub_backend_honors_sharded_only_guard(self):
-        _register_stub()
-        try:
-            with pytest.raises(ConfigError, match="sharded"):
-                AnalysisConfig(backend="stub", retries=1)
-        finally:
-            REGISTRY.unregister("stub")
+    @pytest.mark.parametrize("command, choices", [
+        ("analyze", ("auto", "scalar", "vector", "sharded")),
+        # The incremental layer splices packed arrays: no scalar oracle.
+        ("analyze-delta", ("auto", "vector", "sharded")),
+    ])
+    def test_cli_backend_choices_come_from_the_table(self, command, choices):
+        assert tuple(BACKENDS) == ("scalar", "vector", "sharded")
+        for action in _subcommand(command)._actions:
+            if "--backend" in action.option_strings:
+                assert tuple(action.choices) == choices
+                break
+        else:  # pragma: no cover
+            raise AssertionError(f"{command} has no --backend flag")
 
     def test_unknown_backend_error_lists_choices(self):
         engine = EPPEngine(s27())
@@ -378,4 +330,4 @@ class TestBackendRegistry:
             engine.analyze(backend="warp")
 
     def test_default_backend_is_registered(self):
-        assert default_backend() in REGISTRY.names()
+        assert default_backend() in BACKENDS

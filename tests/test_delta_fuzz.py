@@ -137,7 +137,7 @@ def draw_edits(circuit, seed: int, n_edits: int) -> EditSet:
 def assert_delta_equals_full(delta):
     full = delta.engine.snapshot(
         sites=None if delta.default_sites else delta.site_names,
-        **delta.knobs,
+        config=delta.config,
     )
     assert delta.site_names == full.site_names
     for left, right in zip(delta.packed, full.packed):

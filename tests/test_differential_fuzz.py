@@ -96,7 +96,9 @@ def random_tree_circuit(seed: int, max_inputs: int = 12, n_gates: int = 12) -> C
 
 def force_vector(engine: EPPEngine, prune: bool | None = None,
                  schedule: str | None = None, batch_size: int | None = None):
-    backend = engine.vector_backend(batch_size, prune=prune, schedule=schedule)
+    backend = engine.vector_backend(
+        batch_size=batch_size, prune=prune, schedule=schedule
+    )
     backend.min_vector_work = 0
     return backend
 

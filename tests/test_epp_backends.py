@@ -57,7 +57,9 @@ def force_vector(engine: EPPEngine, batch_size: int | None = None,
                  prune: bool | None = None, schedule: str | None = None):
     """A vector backend with the small-workload crossover disabled, so the
     vectorized kernels themselves are exercised even on tiny circuits."""
-    backend = engine.vector_backend(batch_size, prune=prune, schedule=schedule)
+    backend = engine.vector_backend(
+        batch_size=batch_size, prune=prune, schedule=schedule
+    )
     backend.min_vector_work = 0
     return backend
 

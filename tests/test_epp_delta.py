@@ -12,6 +12,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.core.analysis import SERAnalyzer
+from repro.core.config import AnalysisConfig
 from repro.core.epp import EPPEngine
 from repro.core.epp_delta import EditSet, dirty_mask, edit_impact
 from repro.errors import AnalysisError, NetlistError
@@ -31,7 +32,7 @@ def full_resnapshot(delta):
     """A from-scratch snapshot of the delta's own circuit revision."""
     return delta.engine.snapshot(
         sites=None if delta.default_sites else delta.site_names,
-        **delta.knobs,
+        config=delta.config,
     )
 
 
@@ -402,6 +403,8 @@ class TestBitIdentity:
         prev = engine.snapshot()
         with pytest.raises(AnalysisError, match="unknown analysis knob"):
             engine.analyze_delta(prev, EditSet(), bogus=1)
+        with pytest.raises(AnalysisError, match="unknown analysis knob"):
+            engine.analyze_delta(prev, EditSet(), bogus=None)
 
     def test_knob_override_merges_per_key(self):
         engine = EPPEngine(c17())
@@ -409,9 +412,21 @@ class TestBitIdentity:
         delta = engine.analyze_delta(
             prev, EditSet().replace_gate("N10", "nor"), prune=False
         )
-        assert delta.knobs["prune"] is False
-        assert delta.knobs["schedule"] == "cone"  # untouched keys survive
+        assert delta.config.prune is False
+        assert delta.config.schedule == "cone"  # untouched keys survive
         assert_bit_identical(delta, full_resnapshot(delta))
+
+    def test_config_replaces_the_snapshot_config(self):
+        engine = EPPEngine(c17())
+        prev = engine.snapshot(prune=True, schedule="cone")
+        config = AnalysisConfig(batch_size=2)
+        delta = engine.analyze_delta(
+            prev, EditSet().replace_gate("N10", "nor"), config=config
+        )
+        assert delta.config is config  # nothing merged from prev
+        assert_bit_identical(delta, full_resnapshot(delta))
+        with pytest.raises(AnalysisError, match="not both"):
+            engine.analyze_delta(prev, EditSet(), config=config, prune=False)
 
     def test_edit_impact_matches_analyze_delta(self):
         circuit = random_combinational(6, 60, seed=3)

@@ -16,6 +16,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.core.analysis import SERAnalyzer
+from repro.core.config import AnalysisConfig
 from repro.core.epp import EPPEngine
 from repro.core.epp_shard import (
     ShardedEPPEngine,
@@ -262,8 +263,8 @@ class TestShmTransport:
     def test_unknown_transport_rejected(self):
         engine = EPPEngine(s27())
         with pytest.raises(AnalysisError, match="unknown transport"):
-            ShardedEPPEngine(engine.compiled, engine._sp, jobs=2,
-                             transport="quic")
+            ShardedEPPEngine(engine.compiled, engine._sp, transport="quic",
+                             config=AnalysisConfig(jobs=2))
 
     def test_handle_is_tiny_dataclass(self):
         handle = ShmHandle("psm_test", (((4,), "<f8", 0),), 64)
@@ -413,7 +414,8 @@ class TestShardedSelection:
         engine = EPPEngine(generate_iscas("s953"))
         with pytest.raises(AnalysisError, match="batch_size"):
             ShardedEPPEngine(
-                engine.compiled, engine._sp, jobs=2, batch_size=bad,
+                engine.compiled, engine._sp,
+                config=AnalysisConfig(jobs=2, batch_size=bad),
                 local_backend=engine.vector_backend(),
             )
 
@@ -421,7 +423,9 @@ class TestShardedSelection:
         """jobs far above the circuit's budgeted width: the divided
         per-worker chunk budget must clamp to >= 1 site per chunk."""
         engine = EPPEngine(generate_iscas("s953"))
-        backend = ShardedEPPEngine(engine.compiled, engine._sp, jobs=4096)
+        backend = ShardedEPPEngine(
+            engine.compiled, engine._sp, config=AnalysisConfig(jobs=4096)
+        )
         assert backend.worker_batch_size >= 1
         assert not backend.pool_started  # construction alone spawns nothing
 

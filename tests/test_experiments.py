@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import AnalysisConfig
 from repro.errors import ConfigError
 from repro.experiments.figure1 import run_figure1
 from repro.experiments.profiles import PAPER_TABLE2, TABLE2_CIRCUITS
@@ -91,18 +92,20 @@ class TestTable2:
             Table2Config(sim_vectors=0)
         with pytest.raises(ConfigError):
             Table2Config(circuits=("c6288",))
+        # The SysT column's knobs are validated by AnalysisConfig itself.
         with pytest.raises(ConfigError):
-            Table2Config(backend="simd")
+            Table2Config(analysis=AnalysisConfig(backend="simd"))
         with pytest.raises(ConfigError):
-            Table2Config(backend="sharded", jobs=0)
+            Table2Config(analysis=AnalysisConfig(backend="sharded", jobs=0))
         with pytest.raises(ConfigError, match="sharded"):
-            Table2Config(backend="scalar", jobs=2)  # jobs needs sharded
+            Table2Config(analysis=AnalysisConfig(backend="scalar", jobs=2))
 
     def test_sharded_backend_row(self):
         """The sharded SysT column really engages worker processes (the
         crossover guard is bypassed for an explicit sharded request)."""
         config = Table2Config(
-            circuits=("s27",), backend="sharded", jobs=2, sim_vectors=50,
+            circuits=("s27",),
+            analysis=AnalysisConfig(backend="sharded", jobs=2), sim_vectors=50,
             sim_sites=1, accuracy_sites=5, reference_vectors=1000,
             sp_vectors=1000, epp_sites=5,
         )
@@ -136,9 +139,13 @@ class TestTable2Roster:
         with pytest.raises(ConfigError, match="circuit_jobs"):
             Table2Config(circuit_jobs=0)
         with pytest.raises(ConfigError, match="nested"):
-            Table2Config(backend="sharded", circuit_jobs=2)
-        Table2Config(backend="vector", circuit_jobs=2)  # fine
-        Table2Config(backend="sharded", jobs=2, circuit_jobs=1)  # serial: fine
+            Table2Config(
+                analysis=AnalysisConfig(backend="sharded"), circuit_jobs=2
+            )
+        Table2Config(analysis=AnalysisConfig(backend="vector"), circuit_jobs=2)
+        Table2Config(  # serial: fine
+            analysis=AnalysisConfig(backend="sharded", jobs=2), circuit_jobs=1
+        )
 
     def test_roster_pool_rows_match_serial(self):
         """Every row is an independent seeded measurement, so the

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.analysis import SERAnalyzer
+from repro.core.config import AnalysisConfig
 from repro.core.epp import EPPEngine
 from repro.core.epp_shard import (
     _SHM_NAME_PREFIX,
@@ -89,10 +90,13 @@ class TestFaultPolicy:
         assert policy.deadline is None
 
     def test_from_knobs_none_means_default(self):
-        assert FaultPolicy.from_knobs() == FaultPolicy()
-        assert FaultPolicy.from_knobs(retries=0).retries == 0
-        assert FaultPolicy.from_knobs(shard_timeout=1.5).shard_timeout == 1.5
-        assert FaultPolicy.from_knobs(on_failure="degrade").on_failure == "degrade"
+        def policy(**knobs):
+            return FaultPolicy.from_config(AnalysisConfig(**knobs))
+
+        assert policy() == FaultPolicy()
+        assert policy(retries=0).retries == 0
+        assert policy(shard_timeout=1.5).shard_timeout == 1.5
+        assert policy(on_failure="degrade").on_failure == "degrade"
 
     @pytest.mark.parametrize(
         "bad",
@@ -130,14 +134,6 @@ class TestFaultPolicy:
         assert policy.backoff_delay(0, 2) == pytest.approx(0.3)
         assert policy.backoff_delay(0, 3) == pytest.approx(0.9)
 
-    def test_policy_and_knobs_mutually_exclusive(self, s953):
-        engine, _, _ = s953
-        with pytest.raises(AnalysisError, match="not both"):
-            ShardedEPPEngine(
-                engine.compiled, engine._sp,
-                policy=FaultPolicy(), retries=1,
-            )
-
     def test_deadline_countdown(self):
         unbounded = Deadline(None)
         assert unbounded.remaining() is None
@@ -171,7 +167,7 @@ class TestFaultPolicy:
         # ConfigError naming the flag (the constructor keeps raising
         # AnalysisError for programmatic misuse — see test_validation).
         with pytest.raises(ConfigError, match="--"):
-            FaultPolicy.from_knobs(**bad)
+            FaultPolicy.from_config(AnalysisConfig(**bad))
 
 
 # ---------------------------------------------------------------- injector

@@ -312,14 +312,17 @@ class TestScheduleKnob:
             engine.analyze(backend="scalar", schedule="sorted")
 
     def test_table2_config_rejects_knobs_on_scalar_backend(self):
+        from repro.core.config import AnalysisConfig
         from repro.errors import ConfigError
         from repro.experiments.table2 import Table2Config
 
         with pytest.raises(ConfigError, match="vector"):
-            Table2Config(prune=False)  # default backend is scalar
+            Table2Config(analysis=AnalysisConfig(backend="scalar", prune=False))
         with pytest.raises(ConfigError, match="vector"):
-            Table2Config(schedule="cone")
-        Table2Config(backend="vector", prune=False, schedule="cone")  # fine
+            Table2Config(analysis=AnalysisConfig(backend="scalar", schedule="cone"))
+        Table2Config(analysis=AnalysisConfig(  # fine
+            backend="vector", prune=False, schedule="cone",
+        ))
 
     def test_backend_cache_keyed_by_prune_and_schedule(self):
         engine = EPPEngine(s27())

@@ -315,6 +315,38 @@ class TestServiceCore:
                 assert_matches_reference(after["result"], c17_ref)
         asyncio.run(main())
 
+    @pytest.mark.parametrize("knob, value", [
+        ("jobs", 4096), ("retries", 1), ("shard_timeout", 5.0),
+        ("on_failure", "degrade"),
+    ])
+    def test_execution_knobs_rejected_off_the_wire(
+        self, tmp_path, c17_ref, monkeypatch, knob, value
+    ):
+        """The execution knobs are the server's (``serve --jobs``), not a
+        client's: a request carrying one gets a typed terminal error
+        naming it, no worker process is ever created, and the server
+        answers the next request."""
+        import repro.core.epp_shard as shard_module
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a request created a worker pool")
+
+        monkeypatch.setattr(shard_module, "ProcessPoolExecutor", no_pool)
+
+        async def main():
+            async with serving(tmp_path) as svc:
+                response = await svc._respond(wire(
+                    op="analyze", circuit="c17", knobs={knob: value}
+                ))
+                assert not response["ok"]
+                assert response["error"]["type"] == "AnalysisConfigError"
+                assert knob in response["error"]["message"]
+                assert not response["error"]["retriable"]
+                after = await svc._respond(wire(op="analyze", circuit="c17"))
+                assert after["ok"]
+                assert_matches_reference(after["result"], c17_ref)
+        asyncio.run(main())
+
     def test_delta_chain_matches_in_process(self, tmp_path, c17_ref):
         _, sites = c17_ref
         engine = EPPEngine(c17())
@@ -858,11 +890,11 @@ class TestDurableServiceJournal:
                 tmp_path, jobs=2, store_dir=str(tmp_path / "store")
             ) as svc:
                 req = parse_request({"op": "analyze", "circuit": "c17"})
-                knobs, degraded = svc._sweep_knobs(
+                config, degraded = svc._sweep_config(
                     req, Deadline(None), dedicated=False
                 )
                 assert not degraded
-                assert knobs["checkpoint"].startswith(
+                assert config.checkpoint.startswith(
                     os.path.join(str(tmp_path / "store"), "checkpoints")
                 )
                 # Wire requests can never smuggle a checkpoint path in.

@@ -138,7 +138,7 @@ class TestVectorizedPass:
         numpy = pytest.importorskip("numpy")
         monkeypatch.setattr(sp_mod, "_VEC_MIN_NODES", 0)
         vec = compute_signal_probabilities(circuit, **kwargs)
-        monkeypatch.setattr(sp_mod, "_np", None)
+        monkeypatch.setattr(sp_mod, "_VEC_MIN_NODES", 10**12)
         scalar = compute_signal_probabilities(circuit, **kwargs)
         return vec, scalar
 

@@ -15,11 +15,12 @@ Allowed exceptions:
 * ``core/config.py`` itself (it *is* the knob table);
 * calls whose callee is the config layer (``AnalysisConfig``,
   ``from_knobs``, ``replace``, ``merged_with``) — building the config
-  object is the point;
-* the documented back-compat signatures that accept individual knobs
-  *and* ``config=`` (``EPPEngine.sharded_backend``,
-  ``ShardedEPPEngine.__init__``) — they funnel straight into
-  ``AnalysisConfig`` internally.
+  object is the point.
+
+No function signature is exempt: every public entry point that takes
+knobs takes them as ``config=`` or as ``**knobs`` folded into one
+``AnalysisConfig``, so :data:`ALLOWED_DEFS` is empty and a new def that
+declares knob parameters one by one fails the lint.
 
 Run from the repo root: ``python tools/lint_knob_threading.py``.
 Exits non-zero listing ``file:line`` for each violation.
@@ -49,12 +50,8 @@ ALLOWED_CALLEES = frozenset(
 )
 
 #: (relative path, function name) pairs allowed to keep individual-knob
-#: signatures: the documented back-compat entry points, which validate
-#: by building an AnalysisConfig on their first line.
-ALLOWED_DEFS = frozenset({
-    ("src/repro/core/epp.py", "sharded_backend"),
-    ("src/repro/core/epp_shard.py", "__init__"),
-})
+#: signatures.  Empty: no entry point declares knobs one by one.
+ALLOWED_DEFS: frozenset = frozenset()
 
 #: Files exempt wholesale.
 SKIP_FILES = frozenset({"src/repro/core/config.py"})
