@@ -6,9 +6,9 @@ backend configurations —
 * ``scalar_s``       — the per-site reference oracle (sampled and
   extrapolated linearly above :data:`SCALAR_FULL_MAX_NODES`; scalar cost
   is exactly linear in the site count);
-* ``vector_s``       — the dense vector sweep (``prune=False,
-  schedule="input"``: the PR-1 execution order under this tree's lazy
-  result materialization);
+* ``vector_s``       — the dense vector sweep (``prune=False``, which
+  also sweeps in input order: the PR-1 execution order under this
+  tree's lazy result materialization);
 * ``vector_eager_s`` — the same dense sweep with every per-sink vector
   dict forced, reproducing the PR-1 backend's *eager* accounting;
 * ``sparse_s``       — the defaults (``prune="auto"``: compacted
@@ -240,11 +240,10 @@ def bench_circuit(name: str, jobs: int | None) -> dict:
 
     # ---- dense vector (PR-1 order), lazy and eager accounting ----
     row["vector_s"] = _timed_analyze(
-        _fresh_engine(circuit, sp), sites, prune=False, schedule="input"
+        _fresh_engine(circuit, sp), sites, prune=False
     )
     row["vector_eager_s"] = _timed_analyze(
-        _fresh_engine(circuit, sp), sites, eager=True,
-        prune=False, schedule="input",
+        _fresh_engine(circuit, sp), sites, eager=True, prune=False,
     )
 
     # ---- defaults: compacted rows, cell cost model, dense fallback ----
@@ -267,7 +266,7 @@ def bench_circuit(name: str, jobs: int | None) -> dict:
     # samples of a shared runner.
     from repro.core.config import AnalysisConfig
 
-    config_knobs = dict(prune=True, schedule="cone")
+    config_knobs = dict(prune=True)
     config_object = AnalysisConfig(backend="vector", **config_knobs)
 
     def timed_config(call) -> float:
@@ -377,11 +376,9 @@ def bench_circuit(name: str, jobs: int | None) -> dict:
             # every clustered ratio derived from it.
             return _best_of(timed, floor_s=2.0, max_repeats=5)
 
-        row["clustered_vector_s"] = measure_cluster(
-            prune=False, schedule="input",
-        )
+        row["clustered_vector_s"] = measure_cluster(prune=False)
         row["clustered_compact_s"] = measure_cluster(
-            stats_key="clustered_sweep_stats", prune=True, schedule="cone",
+            stats_key="clustered_sweep_stats", prune=True,
         )
         row["clustered_compact_speedup"] = (
             row["clustered_vector_s"] / row["clustered_compact_s"]

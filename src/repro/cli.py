@@ -217,13 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         "mutually exclusive with --backend sharded)",
     )
     table2.add_argument(
-        "--schedule",
-        choices=("auto", "cone", "input"),
-        default="auto",
-        help="chunk scheduling for the vector/sharded backends (auto: "
-        "cone-cluster multi-chunk site lists)",
-    )
-    table2.add_argument(
         "--no-prune",
         action="store_true",
         help="disable the cone-aware sparse sweep (dense full-circuit "
@@ -504,7 +497,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             backend=args.backend,
             jobs=args.jobs,
             prune=False if args.no_prune else None,
-            schedule=None if args.schedule == "auto" else args.schedule,
         )}
         if args.circuits and args.mode != "quick":
             overrides["circuits"] = tuple(args.circuits)

@@ -11,7 +11,8 @@
   vectorized rule kernels and the batched level-parallel NumPy backend
   (``EPPEngine.analyze(backend="vector")``), cone-aware by default:
   gate groups are sliced to the rows on some chunk member's fanout cone
-  (``prune=``) and chunks are cone-clustered (``schedule=``).
+  (``prune=``) and the chunks of pruned multi-chunk calls are
+  cone-clustered.
 * :mod:`repro.core.schedule` — the scheduling layer: the cached per-node
   reachable-sink :class:`~repro.core.schedule.ConeIndex` and the
   cone-clustered site ordering the sparse sweeps feed on.

@@ -242,9 +242,9 @@ class SERAnalyzer:
     ) -> CircuitSERReport:
         """Analyze many sites (default: every combinational gate output).
 
-        Analysis knobs — ``backend``/``batch_size``/``jobs``/``prune``/
-        ``schedule`` plus the resilience set (``retries``/``shard_timeout``/``on_failure``/``deadline``/
-        ``checkpoint``) — are forwarded to :meth:`EPPEngine.analyze`,
+        Analysis knobs — ``backend``/``batch_size``/``jobs``/``prune``
+        plus the resilience set (``retries``/``shard_timeout``/
+        ``on_failure``/``deadline``/``checkpoint``) — are forwarded to :meth:`EPPEngine.analyze`,
         either individually or as one pre-built
         :class:`~repro.core.config.AnalysisConfig` via ``config=``:
         ``"scalar"`` for the per-site reference path, ``"vector"`` for

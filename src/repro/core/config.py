@@ -1,9 +1,9 @@
 """The unified analysis execution-option layer: one typed knob surface.
 
 Every analysis knob in the system — backend selection, sweep shaping
-(``batch_size``/``prune``/``schedule``),
-sharding (``jobs``) and resilience (``retries``/``shard_timeout``/
-``on_failure``/``deadline``/``fault_injector``/``checkpoint``) — lives on
+(``batch_size``/``prune``), sharding (``jobs``) and resilience
+(``retries``/``shard_timeout``/``on_failure``/``deadline``/
+``fault_injector``/``checkpoint``) — lives on
 one frozen dataclass, :class:`AnalysisConfig`.  Before this module the
 same knob tuple was hand-threaded through eight layers (engine, vector
 and sharded backends, worker payloads, delta analysis, ``SERAnalyzer``,
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Mapping
 
 from repro.core.backends import backend_info, default_backend
-from repro.core.schedule import SCHEDULES, resolve_prune, validate_schedule
+from repro.core.schedule import resolve_prune
 from repro.errors import AnalysisConfigError
 
 __all__ = [
@@ -72,7 +72,9 @@ __all__ = [
 #: ``shard_timeout``/``on_failure``) off the wire: the server owns its
 #: process count and recovery policy, and those knobs never change a
 #: result, so they must not fork result identities either.
-WIRE_VERSION = 4
+#: Version 5 dropped the ``schedule`` knob: the sweep order is a rule in
+#: code now, so identities minted while it was a wire key miss cleanly.
+WIRE_VERSION = 5
 
 #: On-failure modes, re-exported here so the CLI and the knob reference
 #: need only this module.  The authoritative tuple lives with
@@ -147,13 +149,6 @@ class AnalysisConfig:
             "fallback on saturated chunks), `True`/`False` to force.  The "
             "CLI exposes only `--no-prune` (force dense).",
     )
-    schedule: str | None = _knob(
-        wire=True, kind="choice", cli="--schedule", delta=True, sweep=True,
-        choices=SCHEDULES, section="sweep",
-        doc="Site scheduling: `auto` clusters by fanout cone when the "
-            "site list spans multiple chunks, `cone` always clusters, "
-            "`input` preserves caller order.",
-    )
     retries: int | None = _knob(
         wire=False, kind="int", cli="--retries", sharded_only=True,
         section="resilience",
@@ -205,7 +200,6 @@ class AnalysisConfig:
                 f"batch_size must be >= 1, got {self.batch_size}"
             )
         resolve_prune(self.prune)
-        validate_schedule(self.schedule)
         if self.backend is not None:
             backend_info(self.backend)  # unknown-name check
         # Resilience values: delegate to FaultPolicy.from_config so the
@@ -301,19 +295,15 @@ class AnalysisConfig:
         return default_backend()
 
     def resolved(self) -> "AnalysisConfig":
-        """A copy with the sweep knobs normalized (``None`` -> ``auto``).
+        """A copy with ``prune`` normalized (``None`` -> ``auto``).
 
-        The one resolution point (the satellite-2 dedup): the sharded
-        parent, its workers and the engine cache keys all normalize
-        through here instead of each calling ``resolve_prune`` /
-        ``validate_*`` on their own.  Idempotent — resolving a resolved
-        config is a no-op, so parent-resolved values shipped to workers
-        survive the worker's own resolve.
+        The one resolution point: the sharded parent, its workers and
+        the engine cache keys all normalize through here instead of each
+        calling ``resolve_prune`` on their own.  Idempotent — resolving
+        a resolved config is a no-op, so parent-resolved values shipped
+        to workers survive the worker's own resolve.
         """
-        return self.replace(
-            prune=resolve_prune(self.prune),
-            schedule=validate_schedule(self.schedule),
-        )
+        return self.replace(prune=resolve_prune(self.prune))
 
     # ----------------------------------------------------- serialization
 

@@ -391,18 +391,15 @@ class EPPEngine:
         from repro.core.epp_batch import BatchEPPBackend, default_batch_size
 
         # Cache keyed by the *effective* configuration: a one-off explicit
-        # batch_size/prune/schedule must not stick to later default calls.
+        # batch_size/prune must not stick to later default calls.
         resolved = config.resolved()
         effective = (
             resolved.batch_size if resolved.batch_size is not None
             else default_batch_size(self.compiled.n),
             resolved.prune,
-            resolved.schedule,
         )
         backend = self._vector_backend
-        if backend is None or (
-            backend.batch_size, backend.prune, backend.schedule
-        ) != effective:
+        if backend is None or (backend.batch_size, backend.prune) != effective:
             backend = BatchEPPBackend(
                 self.compiled,
                 self._sp,
@@ -416,26 +413,36 @@ class EPPEngine:
     def _get_sharded_backend(self, config: AnalysisConfig):
         from repro.core.epp_shard import ShardedEPPEngine, default_jobs
 
-        # The resolved config — jobs defaulted, sweep knobs normalized —
-        # is the backend's identity: changing (say) the retry budget or
-        # the checkpoint directory rebuilds the pool rather than silently
-        # reusing one configured differently.
+        # The pool's identity is what shapes it — jobs (defaulted), the
+        # resolved sweep knobs, the fault injector and the local backend.
+        # The fault policy and the checkpoint directory take effect per
+        # call, so a per-request deadline or checkpoint never closes a
+        # warmed pool; they are updated under the sweep lock, which every
+        # sweep of this engine holds.
         jobs = int(config.jobs) if config.jobs is not None else default_jobs()
         config = config.replace(backend="sharded", jobs=jobs).resolved()
-        local = self._get_vector_backend(config)
-        backend = self._sharded_backend
-        if backend is None or backend.config != config or backend.local is not local:
-            if backend is not None:
-                backend.close()
-            backend = ShardedEPPEngine(
-                self.compiled,
-                self._sp,
-                track_polarity=self.track_polarity,
-                local_backend=local,
-                config=config,
-            )
-            self._sharded_backend = backend
-        return backend
+        with self._sweep_lock:
+            local = self._get_vector_backend(config)
+            backend = self._sharded_backend
+            if (
+                backend is None
+                or backend.local is not local
+                or ShardedEPPEngine.pool_identity(backend.config)
+                != ShardedEPPEngine.pool_identity(config)
+            ):
+                if backend is not None:
+                    backend.close()
+                backend = ShardedEPPEngine(
+                    self.compiled,
+                    self._sp,
+                    track_polarity=self.track_polarity,
+                    local_backend=local,
+                    config=config,
+                )
+                self._sharded_backend = backend
+            else:
+                backend.configure_call(config)
+            return backend
 
     def sharded_backend(self, *, config: AnalysisConfig | None = None, **knobs):
         """The multi-process sharded driver bound to this engine.
@@ -447,7 +454,10 @@ class EPPEngine:
         recent* resolved configuration is reused across calls, and
         requesting a different configuration closes the
         previous instance's worker pool before building the new one (so
-        the engine never accumulates live pools).  Alternate
+        the engine never accumulates live pools).  Only the knobs that
+        shape the pool (``jobs``, ``batch_size``, ``prune``,
+        ``fault_injector``) decide reuse; the fault policy and
+        ``checkpoint`` are swapped onto the cached instance.  Alternate
         configurations per call by constructing
         :class:`~repro.core.epp_shard.ShardedEPPEngine` instances
         directly instead.
@@ -462,7 +472,7 @@ class EPPEngine:
         ``analyze_sites``) and tuning knobs (``min_vector_work``) without
         reaching into engine internals.  Knobs come as ``config=`` or as
         keyword knobs, never both; sharded-only knobs are rejected.  The
-        instance is cached per effective (batch size, prune, schedule)
+        instance is cached per effective (batch size, prune)
         configuration.
         """
         self._check_current()
@@ -528,14 +538,13 @@ class EPPEngine:
         every gate group is sliced to the rows on some chunk member's
         fanout cone — bit-identical, just less work — with a dense
         fallback for chunks whose union-of-cones saturates a small
-        circuit, where pruning is measured overhead) and ``schedule``
-        picks the chunk scheduling strategy
-        (``"auto"``/``"cone"``/``"input"``; the default cone-clusters
-        multi-chunk site lists so chunks share fanout cones and the
-        pruned sweep's unions stay small).  Both apply to the vector and
-        sharded backends; the scalar path ignores them (it is already
-        per-cone by construction).  Both are bit-identical; they change
-        how much is computed, never any value.
+        circuit, where pruning is measured overhead).  Pruned multi-chunk
+        calls also cone-cluster their site list, so chunks share fanout
+        cones and the pruned sweep's unions stay small; ``prune=False``
+        sweeps dense in input order, the reference.  It applies to the
+        vector and sharded backends; the scalar path ignores it (it is
+        already per-cone by construction).  It is bit-identical: it
+        changes how much is computed, never any value.
 
         The resilience knobs apply to the sharded backend only (like
         ``jobs``): ``retries`` is the extra attempts allowed per failed

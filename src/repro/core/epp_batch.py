@@ -47,12 +47,13 @@ sites of a chunk at once:
   back — bit-identical again, the kernels run the same elementwise IEEE
   ops per computed cell;
 * which sites share a chunk is decided by the scheduling layer
-  (:mod:`repro.core.schedule`): ``schedule="cone"`` (the ``auto`` default
-  for multi-chunk calls) clusters sites with overlapping fanout cones so
-  each chunk's union-of-cones — the pruned sweep's cost — stays small;
-  ``schedule="input"`` keeps the caller's order (the pre-scheduling
-  contiguous chunking).  Chunks are ``batch_size`` wide, widened when
-  every chunk is guaranteed a compacted sweep (see
+  (:mod:`repro.core.schedule`): pruned multi-chunk calls cluster sites
+  with overlapping fanout cones so each chunk's union-of-cones — the
+  pruned sweep's cost — stays small; dense sweeps and single-chunk
+  calls keep the caller's order
+  (:func:`~repro.core.schedule.cone_order_pays`).  Chunks are
+  ``batch_size`` wide, widened when every chunk is guaranteed a
+  compacted sweep (see
   :meth:`BatchEPPBackend._chunk_spans`).  Scheduling is a pure
   permutation; results are always returned in input order.
 
@@ -82,9 +83,8 @@ from repro.core.schedule import (
     chunk_cache_key,
     chunk_prune_saturated,
     cone_cluster_order,
+    cone_order_pays,
     resolve_prune,
-    resolve_schedule,
-    validate_schedule,
 )
 from repro.netlist.circuit import CompiledCircuit
 from repro.netlist.gate_types import (
@@ -102,7 +102,10 @@ __all__ = [
     "BatchPlan",
     "BatchEPPBackend",
     "CompactChunkPlan",
+    "concat_packed",
     "default_batch_size",
+    "empty_packed",
+    "segment_index",
 ]
 
 #: Target footprint of the per-chunk state matrix (bytes).  Wide chunks
@@ -149,6 +152,47 @@ def default_batch_size(n_nodes: int) -> int:
     """Chunk width sized so ``n_nodes * 4 * batch * 8`` bytes stays bounded."""
     width = _STATE_BYTES_TARGET // (max(n_nodes, 1) * 32)
     return int(max(32, min(512, width)))
+
+
+# ---------------------------------------------------------- packed format
+#
+# A packed result is ``(p_sens, cone_sizes, counts, sink_pos, values)``:
+# three per-site arrays plus the variable-length sink-pair segments
+# (``counts[i]`` entries of ``sink_pos``/``values`` per site, site-major).
+# It is what ``pack_sites`` returns, what the sharded driver ships, what
+# checkpoints journal and what the incremental layer splices.
+
+
+def empty_packed() -> tuple:
+    """The packed tuple of zero sites."""
+    empty = np.zeros(0)
+    return (
+        empty, empty.astype(np.intp), empty.astype(np.intp),
+        empty.astype(np.intp), np.zeros((0, 4)),
+    )
+
+
+def concat_packed(parts: Sequence[tuple]) -> tuple:
+    """Packed tuples of consecutive site runs joined into one."""
+    if not parts:
+        return empty_packed()
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(
+        np.concatenate([part[i] for part in parts]) for i in range(5)
+    )
+
+
+def segment_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Flat indices of variable-length segments, repeat-built: segment
+    ``i`` covers ``starts[i] .. starts[i] + counts[i]``, in order."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.intp)
+    heads = np.repeat(starts, counts)
+    prefix = np.cumsum(counts) - counts
+    within = np.arange(total) - np.repeat(prefix, counts)
+    return heads + within
 
 
 class _Group:
@@ -406,11 +450,8 @@ class BatchEPPBackend:
         forces pruning everywhere; ``False`` restores the dense
         full-circuit sweep (the reference for the benchmarks).  All three
         are bit-identical — the knobs change *which rows compute*, never
-        their values.
-    schedule:
-        Chunk scheduling strategy (see :mod:`repro.core.schedule`):
-        ``"auto"`` (default, also ``None``) cone-clusters multi-chunk site
-        lists, ``"cone"`` always clusters, ``"input"`` keeps caller order.
+        their values.  ``prune`` also fixes the sweep order (see
+        :func:`~repro.core.schedule.cone_order_pays`).
 
     Pruned sweeps always run on compacted union-of-cones state matrices
     with the cell-compaction cost model; dense sweeps (``prune=False`` or
@@ -427,7 +468,6 @@ class BatchEPPBackend:
         min_vector_work: int = _MIN_VECTOR_WORK,
         scalar_fallback=None,
         prune: bool | None = None,
-        schedule: str | None = None,
     ):
         self.compiled = compiled
         self.plan = BatchPlan.for_compiled(compiled)
@@ -442,7 +482,6 @@ class BatchEPPBackend:
         self.min_vector_work = min_vector_work
         self.scalar_fallback = scalar_fallback
         self.prune = resolve_prune(prune)
-        self.schedule = validate_schedule(schedule)
         #: Cumulative execution counters, updated by every sweep: chunk
         #: accounting (``chunks``; ``dense_fallback_sweeps`` — chunks
         #: ``prune="auto"`` ran dense;
@@ -757,29 +796,16 @@ class BatchEPPBackend:
     def _schedule_order(self, ids: np.ndarray):
         """The sweep permutation for one call, or ``None`` for input order.
 
-        Resolves the backend's ``schedule`` knob against this call's site
-        count (``auto`` clusters only multi-chunk calls) and returns
-        ``order`` with ``order[j]`` = input position of the ``j``-th site
-        to sweep.  Scheduling cannot change any per-site result — every
-        column is computed independently — so callers restore input order
-        after the sweep.
+        :func:`~repro.core.schedule.cone_order_pays` decides; the
+        permutation is ``order`` with ``order[j]`` = input position of
+        the ``j``-th site to sweep.  Scheduling cannot change any
+        per-site result — every column is computed independently — so
+        callers restore input order after the sweep.
         """
-        if len(ids) < 2:
-            return None
-        strategy = resolve_schedule(self.schedule, len(ids), self.batch_size)
-        if strategy != "cone":
-            return None
-        if (
-            self.schedule == "auto"
-            and self.prune == "auto"
-            and self._chunk_saturated(ids)
+        if not cone_order_pays(
+            self.prune, len(ids), self.batch_size,
+            lambda: self._chunk_saturated(ids),
         ):
-            # The whole call saturates a small circuit: every chunk will
-            # take the dense fallback regardless of which sites share it,
-            # so the cluster sort (and the packed-result reorder it
-            # forces) is pure overhead — exactly the s953/s1423
-            # regression BENCH_pr3.json measured.  Explicit
-            # schedule="cone" or prune=True still cluster.
             return None
         return cone_cluster_order(self.compiled, ids)
 
@@ -908,15 +934,9 @@ class BatchEPPBackend:
                 out[position] = self.scalar_fallback(site_id).p_sensitized
             return out
         order = self._schedule_order(ids)
-        sweep_ids = ids if order is None else ids[order]
-        cursor = 0
-        for chunk, state, mask, sinks in self._swept_chunks(sweep_ids):
-            p_sens = self._select_pairs(chunk, state, mask, sinks)[0]
-            if order is None:
-                out[cursor : cursor + len(chunk)] = p_sens
-            else:
-                out[order[cursor : cursor + len(chunk)]] = p_sens
-            cursor += len(chunk)
+        if order is None:
+            return self._sweep_in_order(ids, full=False)
+        out[order] = self._sweep_in_order(ids[order], full=False)
         return out
 
     def analyze_sites(self, site_ids: Sequence[int]):
@@ -1019,57 +1039,48 @@ class BatchEPPBackend:
 
         ``inverse[i]`` is the sweep position of input site ``i``.  The
         per-site arrays gather directly; the variable-length sink-pair
-        segments (``sink_pos``/``values``) are gathered via a repeat-built
-        index so the whole reorder stays vectorized.
+        segments (``sink_pos``/``values``) are gathered through
+        :func:`segment_index` so the whole reorder stays vectorized.
         """
         p_sens, cone_sizes, counts, sink_pos, values = packed
         starts = np.cumsum(counts) - counts
         new_counts = counts[inverse]
-        total = int(new_counts.sum())
-        if total:
-            heads = np.repeat(starts[inverse], new_counts)
-            prefix = np.cumsum(new_counts) - new_counts
-            within = np.arange(total) - np.repeat(prefix, new_counts)
-            segment_index = heads + within
-            sink_pos = sink_pos[segment_index]
-            values = values[segment_index]
-        return p_sens[inverse], cone_sizes[inverse], new_counts, sink_pos, values
+        index = segment_index(starts[inverse], new_counts)
+        return (
+            p_sens[inverse], cone_sizes[inverse], new_counts,
+            sink_pos[index], values[index],
+        )
 
     def pack_sites(self, site_ids: Sequence[int]) -> tuple:
         """Compact numeric results for many sites (chunks concatenated).
 
-        The sharded driver's per-worker entry point: sweeps the sites
-        chunk by chunk — through the same scheduler as the other bulk
-        queries — and returns one concatenated ``_pack`` tuple aligned
-        with ``site_ids`` input order, ready to cross the process
-        boundary and be materialized by the parent.
+        Sweeps the sites chunk by chunk — through the same scheduler as
+        the other bulk queries — and returns one concatenated ``_pack``
+        tuple aligned with ``site_ids`` input order, the form the
+        incremental layer splices and the sharded driver ships.
         """
         ids = np.asarray(site_ids, dtype=np.intp)
         order = self._schedule_order(ids)
-        sweep_ids = ids if order is None else ids[order]
-        parts = [
-            self._pack(chunk, state, mask, sinks)
-            for chunk, state, mask, sinks in self._swept_chunks(sweep_ids)
-        ]
-        if not parts:
-            empty = np.zeros(0)
-            return empty, empty.astype(np.intp), empty.astype(np.intp), \
-                empty.astype(np.intp), np.zeros((0, 4))
-        if len(parts) == 1:
-            packed = parts[0]
-        else:
-            packed = (
-                np.concatenate([p[0] for p in parts]),
-                np.concatenate([p[1] for p in parts]),
-                np.concatenate([p[2] for p in parts]),
-                np.concatenate([p[3] for p in parts]),
-                np.concatenate([p[4] for p in parts]),
-            )
-        if order is not None:
-            inverse = np.empty(len(order), dtype=np.intp)
-            inverse[order] = np.arange(len(order), dtype=np.intp)
-            packed = self._reorder_packed(packed, inverse)
-        return packed
+        if order is None:
+            return self._sweep_in_order(ids)
+        inverse = np.empty(len(order), dtype=np.intp)
+        inverse[order] = np.arange(len(order), dtype=np.intp)
+        return self._reorder_packed(self._sweep_in_order(ids[order]), inverse)
+
+    def _sweep_in_order(self, site_ids: Sequence[int], full: bool = True):
+        """Sweep ``site_ids`` exactly in the order given, no scheduling.
+
+        Returns the packed tuple (``full``) or just ``P_sensitized``,
+        aligned with ``site_ids``.  :meth:`pack_sites` and
+        :meth:`p_sensitized_many` call it after ordering; the sharded
+        driver's workers and degrade backend call it directly, because
+        their shards were cut from an already cone-ordered list.
+        """
+        chunks = self._swept_chunks(np.asarray(site_ids, dtype=np.intp))
+        if full:
+            return concat_packed([self._pack(*swept) for swept in chunks])
+        parts = [self._select_pairs(*swept)[0] for swept in chunks]
+        return np.concatenate(parts) if parts else np.zeros(0)
 
     def materialize(self, site_ids: Sequence[int], packed: tuple, results) -> None:
         """Build per-site EPPResults from a ``_pack``/``pack_sites`` tuple.

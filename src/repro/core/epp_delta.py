@@ -57,6 +57,7 @@ from repro.errors import AnalysisError, NetlistError
 from repro.core.backends import backend_info
 from repro.core.config import AnalysisConfig
 from repro.core.epp import EPPEngine
+from repro.core.epp_batch import empty_packed, segment_index
 from repro.netlist.circuit import Circuit, CompiledCircuit
 from repro.probability import signal_probabilities
 
@@ -620,25 +621,6 @@ def edit_impact(prev: DeltaAnalysis, edits: EditSet, sites=None) -> dict:
     }
 
 
-def _segment_index(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Flat indices of variable-length segments, repeat-built."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.intp)
-    heads = np.repeat(starts, counts)
-    prefix = np.cumsum(counts) - counts
-    within = np.arange(total) - np.repeat(prefix, counts)
-    return heads + within
-
-
-def _empty_packed() -> tuple:
-    empty = np.zeros(0)
-    return (
-        empty, empty.astype(np.intp), empty.astype(np.intp),
-        empty.astype(np.intp), np.zeros((0, 4)),
-    )
-
-
 def analyze_delta(
     prev: DeltaAnalysis,
     edits: EditSet,
@@ -668,7 +650,7 @@ def analyze_delta(
         with new_engine._sweep_lock:
             fresh = _pack_backend(new_engine, config).pack_sites(dirty_ids)
     else:
-        fresh = _empty_packed()
+        fresh = empty_packed()
 
     # ---- splice: retained columns from the old packed arrays (sink
     # positions remapped by name), dirty columns from the fresh sweep.
@@ -681,7 +663,7 @@ def analyze_delta(
     )
 
     if n_sites == 0:
-        packed = _empty_packed()
+        packed = empty_packed()
     else:
         p_sens = np.empty(n_sites)
         cone_sizes = np.empty(n_sites, dtype=np.intp)
@@ -755,11 +737,11 @@ def analyze_delta(
             sink_pos = np.empty(total, dtype=np.intp)
             values = np.empty((total, 4))
 
-            source_index = _segment_index(
+            source_index = segment_index(
                 old_starts[old_columns_of_clean],
                 old_counts[old_columns_of_clean],
             )
-            target_index = _segment_index(
+            target_index = segment_index(
                 starts[clean_positions], counts[clean_positions]
             )
             retained_sinks = sink_remap[old_sink[source_index]]
@@ -772,7 +754,7 @@ def analyze_delta(
             sink_pos[target_index] = retained_sinks
             values[target_index] = old_values[source_index]
 
-            target_index = _segment_index(
+            target_index = segment_index(
                 starts[dirty_positions], counts[dirty_positions]
             )
             sink_pos[target_index] = fresh_sink

@@ -31,12 +31,14 @@ Design
   the remaining shards are still sweeping, so result packaging overlaps
   worker compute exactly as the single-process pipeline overlapped
   sweep and collect.
-* **Cone-clustered shards.**  The site list is ordered by
+* **Cone-clustered shards.**  Pruned calls spanning more than one
+  worker chunk order the site list by
   :func:`~repro.core.schedule.cone_cluster_order` before the contiguous
-  partition (``schedule="auto"``/``"cone"``), so each shard's sites share
-  fanout cones and every worker's cone-aware sparse sweep
-  (``prune=True``, forwarded to worker backends) prunes dense chunks.
-  Results are restored to input order in the parent.
+  partition (the rule is :func:`~repro.core.schedule.cone_order_pays`),
+  so each shard's sites share fanout cones and every worker's pruned
+  sweep (``prune`` is forwarded to worker backends) stays small.
+  Workers sweep their shard in the order given.  Results are restored
+  to input order in the parent.
 * **Column independence makes sharding exact.**  Every site occupies its
   own state-matrix column and no kernel mixes columns, so neither the
   shard partition nor the cone-clustered permutation can change any
@@ -415,9 +417,6 @@ def _worker_backend():
     ``min_vector_work=0``: the parent-level crossover guard already decided
     this workload is large enough for processes, so every shard runs the
     vectorized sweep (workers carry no scalar engine to fall back to).
-    ``schedule="input"``: the parent's partitioner already cone-clustered
-    the site list, so shards arrive pre-ordered and workers must not
-    permute them again (packed arrays stay aligned with the shard).
     """
     key, payload = _WORKER_PAYLOAD
     backend = _WORKER_BACKENDS.get(key)
@@ -462,12 +461,10 @@ def _run_shard(
     injector = _WORKER_INJECTOR
     if injector is not None:
         injector.fire("kernel", shard_index, attempt)
-    backend = _worker_backend()
-    if full:
-        arrays = backend.pack_sites(site_ids)
-    else:
-        arrays = (backend.p_sensitized_many(site_ids),)
-    result = arrays if full else arrays[0]
+    # Shards arrive cut from an already cone-ordered list: sweep them as
+    # given, so the packed arrays stay aligned with the shard.
+    result = _worker_backend()._sweep_in_order(site_ids, full)
+    arrays = result if full else (result,)
     if transport == "shm":
         try:
             if injector is not None:
@@ -533,16 +530,17 @@ class ShardedEPPEngine:
           divided across the pool so the aggregate resident memory of a
           sharded run matches the vector backend's, instead of
           multiplying by ``jobs``.
-        * ``prune`` / ``schedule`` — the cone-aware sweep knobs (see
-          :class:`~repro.core.epp_batch.BatchEPPBackend`): ``prune`` is
-          forwarded to every worker backend; ``schedule`` drives the
-          *parent-side* partitioner — ``"auto"``/``"cone"`` orders the
-          site list by :func:`~repro.core.schedule.cone_cluster_order`
-          before the contiguous shard split, so shards (and the chunks
-          inside each worker) share fanout cones.
+        * ``prune`` — the cone-aware sweep knob (see
+          :class:`~repro.core.epp_batch.BatchEPPBackend`), forwarded to
+          every worker backend.  It also drives the *parent-side*
+          partitioner: pruned calls are cone-ordered before the
+          contiguous shard split, so shards (and the chunks inside each
+          worker) share fanout cones.
         * ``retries`` / ``shard_timeout`` / ``on_failure`` / ``deadline``
           — the :class:`~repro.core.resilience.FaultPolicy` governing
           shard retries, backoff, deadlines and the terminal action.
+          Like ``checkpoint`` it takes effect per call
+          (:meth:`configure_call`), not per pool.
         * ``fault_injector`` — a
           :class:`~repro.testing.faults.FaultInjector` shipped through
           the pool initializer: test-only machinery for staging worker
@@ -552,11 +550,6 @@ class ShardedEPPEngine:
     min_process_work:
         Crossover threshold on ``n_nodes * n_sites`` below which calls run
         on the in-process vector backend; 0 forces the process path.
-    shards_per_worker:
-        Load-balancing factor (see :data:`_SHARDS_PER_WORKER`).
-    mp_context:
-        Optional ``multiprocessing`` context; default prefers ``fork``
-        (cheapest spin-up) and falls back to the platform default.
     local_backend:
         The in-process :class:`~repro.core.epp_batch.BatchEPPBackend` used
         below the crossover and for materializing worker results (built on
@@ -586,8 +579,6 @@ class ShardedEPPEngine:
         *,
         config: "AnalysisConfig | None" = None,
         min_process_work: int = _MIN_PROCESS_WORK,
-        shards_per_worker: int = _SHARDS_PER_WORKER,
-        mp_context=None,
         local_backend=None,
         transport: str | None = None,
     ):
@@ -596,9 +587,7 @@ class ShardedEPPEngine:
         if config is None:
             config = AnalysisConfig()
         resolved = config.resolved()
-        #: The validated :class:`~repro.core.config.AnalysisConfig` this
-        #: driver runs under (sweep knobs resolved, ``None`` -> auto).
-        self.config = resolved
+        self.configure_call(resolved)
         self.compiled = compiled
         self.jobs = (
             int(resolved.jobs) if resolved.jobs is not None else default_jobs()
@@ -606,9 +595,7 @@ class ShardedEPPEngine:
         batch_size = resolved.batch_size
         self.track_polarity = track_polarity
         self.min_process_work = min_process_work
-        self.shards_per_worker = max(1, int(shards_per_worker))
         self.prune = resolved.prune
-        self.schedule = resolved.schedule
         if transport is None:
             transport = default_transport()
         if transport not in TRANSPORTS:
@@ -616,16 +603,7 @@ class ShardedEPPEngine:
                 f"unknown transport {transport!r}; choose from {TRANSPORTS}"
             )
         self.transport = transport
-        self.policy = FaultPolicy.from_config(resolved)
         self.fault_injector = resolved.fault_injector
-        #: Directory for the per-shard sweep journal
-        #: (:mod:`repro.core.checkpoint`), or ``None`` to disable.  Each
-        #: full-result sweep journals completed shards there and resumes
-        #: from whatever a previous (possibly killed) process left.
-        self.checkpoint = (
-            None if resolved.checkpoint is None
-            else os.fspath(resolved.checkpoint)
-        )
         #: Test hook threaded into :class:`ShardCheckpoint` — called as
         #: ``(shard_index, stored_count)`` after each shard file lands;
         #: the kill-9 chaos test dies here at a deterministic point.
@@ -691,7 +669,6 @@ class ShardedEPPEngine:
             self.worker_batch_size = max(
                 32, default_batch_size(compiled.n) // self.jobs
             )
-        self._mp_context = mp_context
         self._pool: ProcessPoolExecutor | None = None
         self._payload: bytes | None = None
         #: Serializes :meth:`close` against itself: the server's drain
@@ -709,11 +686,39 @@ class ShardedEPPEngine:
         #: a suspended result generator that never reaches its cleanup.
         self._inflight: set = set()
         #: Lazily built in-process backend with the *worker's* knobs
-        #: (``min_vector_work=0``, ``schedule="input"``, the worker chunk
-        #: width) for ``on_failure="degrade"`` — degraded shards must run
-        #: the exact code path a worker would, so the merged result stays
+        #: (``min_vector_work=0``, the worker chunk width) for
+        #: ``on_failure="degrade"`` — degraded shards must run the exact
+        #: code path a worker would, so the merged result stays
         #: bit-identical to a clean sharded run.
         self._degraded_backend = None
+
+    #: The knobs that take effect per call rather than shaping the pool.
+    _PER_CALL_KNOBS = (
+        "retries", "shard_timeout", "on_failure", "deadline", "checkpoint",
+    )
+
+    @classmethod
+    def pool_identity(cls, config):
+        """What of a resolved ``config`` shapes the worker pool: every
+        knob except the per-call fault policy and checkpoint directory.
+        ``EPPEngine`` reuses its cached driver while this is unchanged."""
+        return config.replace(**dict.fromkeys(cls._PER_CALL_KNOBS))
+
+    def configure_call(self, config) -> None:
+        """Adopt the per-call knobs of a resolved ``config`` (same
+        :meth:`pool_identity`): the fault policy and the checkpoint
+        directory.  Callers serialize this against sweeps."""
+        #: The validated :class:`~repro.core.config.AnalysisConfig` this
+        #: driver runs under (sweep knobs resolved, ``None`` -> auto).
+        self.config = config
+        self.policy = FaultPolicy.from_config(config)
+        #: Directory for the per-shard sweep journal
+        #: (:mod:`repro.core.checkpoint`), or ``None`` to disable.  Each
+        #: full-result sweep journals completed shards there and resumes
+        #: from whatever a previous (possibly killed) process left.
+        self.checkpoint = (
+            None if config.checkpoint is None else os.fspath(config.checkpoint)
+        )
 
     # ------------------------------------------------------------- lifecycle
 
@@ -724,16 +729,12 @@ class ShardedEPPEngine:
 
     def _worker_config(self):
         """The :class:`~repro.core.config.AnalysisConfig` worker backends
-        run under: the worker chunk width, the parent-resolved sweep
-        knobs, and ``schedule="input"`` — the parent's partitioner
-        already cone-clustered the site list, so workers must not
-        permute shards again."""
+        run under: the worker chunk width and the parent-resolved
+        ``prune``."""
         from repro.core.config import AnalysisConfig
 
         return AnalysisConfig(
-            batch_size=self.worker_batch_size,
-            prune=self.prune,
-            schedule="input",
+            batch_size=self.worker_batch_size, prune=self.prune
         )
 
     def payload(self) -> bytes:
@@ -770,12 +771,9 @@ class ShardedEPPEngine:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            context = self._mp_context
-            if context is None:
-                context = preferred_mp_context()
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
-                mp_context=context,
+                mp_context=preferred_mp_context(),
                 initializer=_shard_worker_init,
                 initargs=(
                     self.payload(),
@@ -1042,27 +1040,28 @@ class ShardedEPPEngine:
     def _shards(self, site_ids: list[int]) -> tuple[list[list[int]], list[list[int]]]:
         """Partition into ``(shards, position_shards)``.
 
-        ``schedule="auto"``/``"cone"`` orders the site list by cone
-        signature first (:func:`~repro.core.schedule.cone_cluster_order`),
-        so the contiguous split hands each worker sites with overlapping
-        fanout cones — the layout the workers' pruned sweeps want.
+        Where :func:`~repro.core.schedule.cone_order_pays`, the site list
+        is ordered by cone signature first
+        (:func:`~repro.core.schedule.cone_cluster_order`), so the
+        contiguous split hands each worker sites with overlapping fanout
+        cones — the layout the workers' pruned sweeps want.
         ``position_shards`` carries each shard member's position in the
         caller's input order, which is how results find their way back.
         """
-        from repro.core.schedule import cone_cluster_order, resolve_schedule
+        from repro.core.schedule import cone_cluster_order, cone_order_pays
 
         positions = list(range(len(site_ids)))
-        # Resolve "auto" against the *worker* chunk width, not the larger
+        # Chunks are counted in the *worker* chunk width, not the larger
         # in-process width: workers sweep in worker_batch_size chunks (and
         # shards are smaller still), so clustering pays exactly when the
         # site list spans more than one worker chunk.
-        strategy = resolve_schedule(
-            self.schedule, len(site_ids), self.worker_batch_size
-        )
-        if strategy == "cone" and len(site_ids) > 1:
+        if cone_order_pays(
+            self.prune, len(site_ids), self.worker_batch_size,
+            lambda: self.local._chunk_saturated(site_ids),
+        ):
             order = cone_cluster_order(self.compiled, site_ids)
             positions = [int(position) for position in order]
-        n_shards = self.jobs * self.shards_per_worker
+        n_shards = self.jobs * _SHARDS_PER_WORKER
         position_shards = partition_shards(positions, n_shards)
         shards = [
             [site_ids[position] for position in shard]
@@ -1129,10 +1128,11 @@ class ShardedEPPEngine:
         """The in-process backend degraded shards run on (built lazily).
 
         Mirrors :func:`_worker_backend` exactly — ``min_vector_work=0``
-        (no scalar crossover on small shards), ``schedule="input"``
-        (shards arrive pre-cone-ordered), the worker chunk width — so a
-        degraded shard takes the same code path a worker would and the
-        merged analysis stays bit-identical to a clean sharded run.
+        (no scalar crossover on small shards), the worker chunk width,
+        and :func:`_run_shard`'s in-order sweep (shards arrive
+        pre-cone-ordered) — so a degraded shard takes the same code path
+        a worker would and the merged analysis stays bit-identical to a
+        clean sharded run.
         ``self.local`` would not do: its scalar-crossover guard and
         scheduler could route a small shard differently.
         """
@@ -1151,10 +1151,7 @@ class ShardedEPPEngine:
     def _run_degraded(self, site_ids: list[int], full: bool):
         """One shard on the in-process degrade backend (terminal fallback)."""
         self.stats["degraded_shards"] += 1
-        backend = self._degrade_backend()
-        if full:
-            return backend.pack_sites(site_ids)
-        return backend.p_sensitized_many(site_ids)
+        return self._degrade_backend()._sweep_in_order(site_ids, full)
 
     def _map_shards(self, shards: list[list[int]], full: bool):
         """Yield ``(shard_index, worker_result)`` as shards complete.
@@ -1538,6 +1535,8 @@ class ShardedEPPEngine:
         """
         import numpy as np
 
+        from repro.core.epp_batch import concat_packed
+
         site_ids = [int(site_id) for site_id in site_ids]
         local = self._use_local(len(site_ids))
         if not site_ids or (local and self.checkpoint is None):
@@ -1546,9 +1545,7 @@ class ShardedEPPEngine:
         parts: list = [None] * len(shards)
         for index, packed in self._map_with_checkpoint(shards, local):
             parts[index] = packed
-        packed = tuple(
-            np.concatenate([part[i] for part in parts]) for i in range(5)
-        )
+        packed = concat_packed(parts)
         positions = np.concatenate(
             [np.asarray(chunk, dtype=np.intp) for chunk in position_shards]
         )

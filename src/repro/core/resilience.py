@@ -12,11 +12,12 @@ analysis is ``np.array_equal`` to a clean one.
 This module holds the policy layer of that recovery:
 
 * :class:`FaultPolicy` — how failures are handled: the per-shard retry
-  budget, exponential backoff with *deterministic seeded jitter* (two
-  runs with the same policy produce the same delay schedule — chaos
-  tests stay reproducible), the per-shard deadline, the global analysis
-  deadline, and the terminal action once the budget is exhausted
-  (``on_failure="retry" | "degrade" | "raise"``).
+  budget, the per-shard deadline, the global analysis deadline, and the
+  terminal action once the budget is exhausted
+  (``on_failure="retry" | "degrade" | "raise"``).  Retries wait out a
+  fixed exponential backoff with *deterministic seeded jitter* (two
+  runs produce the same delay schedule — chaos tests stay
+  reproducible).
 * :class:`ShardOutcome` — the per-shard audit record an analysis leaves
   behind (attempts, worker pid, transport used, elapsed seconds,
   degraded flag), surfaced as
@@ -53,6 +54,20 @@ __all__ = [
 #: the same kernels), ``raise`` fails fast on the first shard failure.
 ON_FAILURE_MODES = ("retry", "degrade", "raise")
 
+#: Exponential backoff before a shard's re-submission: attempt ``k``'s
+#: retry waits ``min(BACKOFF_BASE * BACKOFF_FACTOR**(k-1), BACKOFF_MAX)``
+#: seconds before jitter.  The first submission never waits.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 2.0
+
+#: Fractional jitter on each backoff delay, drawn deterministically from
+#: :data:`BACKOFF_SEED` and the ``(shard, attempt)`` pair — retries of a
+#: respawned pool don't stampede, yet the schedule is exactly
+#: reproducible run to run.
+BACKOFF_JITTER = 0.25
+BACKOFF_SEED = 0
+
 
 @dataclass(frozen=True)
 class FaultPolicy:
@@ -63,18 +78,9 @@ class FaultPolicy:
     retries:
         Extra attempts allowed per shard beyond the first (so a shard is
         submitted at most ``retries + 1`` times).  ``0`` disables
-        retrying without disabling the recovery machinery.
-    backoff_base / backoff_factor / backoff_max:
-        Exponential backoff before re-submission: attempt ``k``'s retry
-        waits ``min(backoff_base * backoff_factor**(k-1), backoff_max)``
-        seconds (before jitter).  The first submission never waits.
-    jitter:
-        Fractional jitter on each backoff delay, drawn deterministically
-        from ``seed`` and the ``(shard, attempt)`` pair — retries of a
-        respawned pool don't stampede, yet the schedule is exactly
-        reproducible run to run.
-    seed:
-        The jitter seed.
+        retrying without disabling the recovery machinery.  Retries
+        wait out the module's fixed, seeded backoff
+        (:meth:`backoff_delay`).
     shard_timeout:
         Per-shard deadline in seconds (``None``: no deadline).  A shard
         still unfinished past it is re-enqueued with backoff; if it was
@@ -89,11 +95,6 @@ class FaultPolicy:
     """
 
     retries: int = 2
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    jitter: float = 0.25
-    seed: int = 0
     shard_timeout: float | None = None
     deadline: float | None = None
     on_failure: str = "retry"
@@ -101,14 +102,6 @@ class FaultPolicy:
     def __post_init__(self):
         if int(self.retries) < 0:
             raise AnalysisError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff_base < 0.0 or self.backoff_max < 0.0:
-            raise AnalysisError("backoff delays must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise AnalysisError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise AnalysisError(f"jitter must be in [0, 1], got {self.jitter}")
         if self.shard_timeout is not None and self.shard_timeout <= 0.0:
             raise AnalysisError(
                 f"shard_timeout must be > 0, got {self.shard_timeout}"
@@ -172,20 +165,19 @@ class FaultPolicy:
         retry (``attempt`` counts failed submissions so far, >= 1).
 
         Deterministic: the jitter fraction is drawn from a generator
-        seeded by ``(seed, shard, attempt)``, so the full delay schedule
-        of an analysis is a pure function of the policy — what lets the
-        chaos tests assert recovery timing without sleeping on real
-        randomness.
+        seeded by ``(BACKOFF_SEED, shard, attempt)``, so the full delay
+        schedule of an analysis is a pure function of the shard and
+        attempt — what lets the chaos tests assert recovery timing
+        without sleeping on real randomness.
         """
         if attempt < 1:
             return 0.0
         delay = min(
-            self.backoff_base * self.backoff_factor ** (attempt - 1),
-            self.backoff_max,
+            BACKOFF_BASE * BACKOFF_FACTOR ** (attempt - 1), BACKOFF_MAX
         )
-        if self.jitter and delay > 0.0:
-            rng = random.Random(f"{self.seed}:{shard}:{attempt}")
-            delay *= 1.0 + self.jitter * rng.random()
+        if BACKOFF_JITTER and delay > 0.0:
+            rng = random.Random(f"{BACKOFF_SEED}:{shard}:{attempt}")
+            delay *= 1.0 + BACKOFF_JITTER * rng.random()
         return delay
 
 

@@ -37,34 +37,25 @@ This module provides the two pieces of that scheduling layer:
 
 Scheduling is a pure reordering: every site's column is computed
 independently, so the permutation cannot change any per-site result —
-callers restore input order after the sweep.  ``resolve_schedule`` maps
-the user-facing knob (``schedule="auto" | "cone" | "input"``) to the
-strategy actually run: ``auto`` clusters whenever the site list spans
-more than one chunk (a single chunk has nothing to cluster across).
+callers restore input order after the sweep.  Whether a call is
+clustered at all is a rule, not an option: :func:`cone_order_pays`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.errors import AnalysisConfigError
 from repro.netlist.circuit import CompiledCircuit
 
 __all__ = [
-    "SCHEDULES",
     "ChunkCache",
     "ConeIndex",
     "chunk_cache_key",
     "chunk_prune_saturated",
     "cone_cluster_order",
+    "cone_order_pays",
     "resolve_prune",
-    "resolve_schedule",
 ]
-
-#: The user-facing scheduling strategies: ``auto`` picks per call,
-#: ``cone`` always clusters, ``input`` preserves the caller's site order
-#: (the pre-PR-3 contiguous chunking).
-SCHEDULES = ("auto", "cone", "input")
 
 #: Above this node count row pruning always pays on full chunks (the
 #: skipped rows dwarf the per-group bookkeeping), so the ``prune="auto"``
@@ -97,28 +88,25 @@ def resolve_prune(prune: "bool | str | None") -> "bool | str":
     return bool(prune)
 
 
-def validate_schedule(schedule: str | None) -> str:
-    """Normalize the ``schedule=`` knob (``None`` means ``auto``)."""
-    if schedule is None:
-        return "auto"
-    if schedule not in SCHEDULES:
-        raise AnalysisConfigError(
-            f"unknown schedule {schedule!r}; choose from {SCHEDULES}"
-        )
-    return schedule
+def cone_order_pays(
+    prune: "bool | str", n_sites: int, chunk_width: int, saturated
+) -> bool:
+    """Whether a sweep of ``n_sites`` sites visits them in cone order.
 
-
-def resolve_schedule(schedule: str | None, n_sites: int, batch_size: int) -> str:
-    """The strategy actually run for one call: ``"cone"`` or ``"input"``.
-
-    ``auto`` clusters only when the site list spans more than one chunk —
-    within a single chunk the sweep visits the union of all cones
-    regardless of order, so clustering would be pure overhead.
+    The one ordering rule of the batched backends and the sharded
+    partitioner.  Clustering pays only when the call prunes (a dense
+    sweep's cost is the whole circuit whichever sites share a chunk) and
+    spans more than one ``chunk_width`` chunk (one chunk visits the
+    union of all cones in any order).  Under ``prune="auto"`` a call
+    whose whole site list saturates a small circuit runs every chunk
+    dense anyway, so the sort and the packed-result reorder it forces
+    are pure overhead — the s953/s1423 regression `BENCH_pr3.json`
+    measured.  ``saturated`` is that whole-call verdict as a callable,
+    consulted only when the answer hinges on it.
     """
-    schedule = validate_schedule(schedule)
-    if schedule != "auto":
-        return schedule
-    return "cone" if n_sites > batch_size else "input"
+    if prune is False or n_sites <= chunk_width:
+        return False
+    return prune is True or not saturated()
 
 
 class ConeIndex:

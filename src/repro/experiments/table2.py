@@ -101,8 +101,8 @@ class Table2Config:
     #: becomes the *amortized* per-node cost of a level-parallel sweep;
     #: ``sharded`` fans that sweep out across ``jobs`` worker processes
     #: (the pool is warmed outside the timed region, so SysT stays an
-    #: amortized steady-state per-node cost).  ``prune``/``schedule``
-    #: shape the vector/sharded sweeps.
+    #: amortized steady-state per-node cost).  ``prune`` shapes the
+    #: vector/sharded sweeps.
     analysis: AnalysisConfig = field(
         default_factory=lambda: AnalysisConfig(backend="scalar")
     )
@@ -129,14 +129,11 @@ class Table2Config:
                 "backend='sharded': roster workers would spawn nested "
                 "process pools"
             )
-        if backend == "scalar" and not (
-            self.analysis.prune is None and self.analysis.schedule is None
-        ):
-            # The scalar column ignores both knobs, and silently
-            # reporting scalar timings under a "dense"/"clustered" label
-            # would mislead.
+        if backend == "scalar" and self.analysis.prune is not None:
+            # The scalar column ignores the knob, and silently reporting
+            # scalar timings under a "dense" label would mislead.
             raise ConfigError(
-                "Table2Config.prune/schedule apply to the 'vector' and "
+                "Table2Config.prune applies to the 'vector' and "
                 "'sharded' backends only, got backend='scalar'"
             )
         unknown = [c for c in self.circuits if c not in ISCAS89_PROFILES]

@@ -755,9 +755,9 @@ class AnalysisService:
         the request's.  A dedicated (non-coalesced) sharded sweep carries
         the request's remaining budget into ``FaultPolicy.deadline``;
         shared sweeps run under no per-request policy (subscribers each
-        enforce their own deadline while waiting), keeping the warm
-        pool's policy — and therefore the pool itself — stable across
-        requests.
+        enforce their own deadline while waiting).  Neither the deadline
+        nor the checkpoint directory is part of the pool's identity, so
+        the warm pool survives every request.
         """
         config = req.config
         if self.jobs is not None and config.backend in (None, "sharded"):

@@ -81,8 +81,9 @@ class TestValidation:
             AnalysisConfig(backend="warp")
 
     def test_bad_schedule_rejected(self):
-        with pytest.raises(ConfigError, match="schedule"):
-            AnalysisConfig(schedule="sideways")
+        # The sweep order is a rule in code now: any schedule is unknown.
+        with pytest.raises(ConfigError, match="unknown analysis knob 'schedule'"):
+            AnalysisConfig.from_knobs(schedule="sideways")
 
     def test_bad_retries_uses_flag_spelling(self):
         with pytest.raises(ConfigError, match="--retries must be >= 0"):
@@ -108,7 +109,7 @@ class TestValidation:
 class TestDerivedTables:
     def test_knob_key_order_is_the_historical_order(self):
         assert KNOB_KEYS == (
-            "backend", "batch_size", "jobs", "prune", "schedule",
+            "backend", "batch_size", "jobs", "prune",
             "retries", "shard_timeout", "on_failure", "deadline",
             "fault_injector", "checkpoint",
         )
@@ -122,8 +123,8 @@ class TestDerivedTables:
         # The server owns its process count and recovery policy: a
         # socket must not size the pool, and knobs that never change a
         # result must not fork result identities.
-        assert WIRE_KNOB_KEYS == ("backend", "batch_size", "prune", "schedule")
-        assert WIRE_VERSION == 4
+        assert WIRE_KNOB_KEYS == ("backend", "batch_size", "prune")
+        assert WIRE_VERSION == 5
 
     def test_resilience_keys_are_sharded_only_minus_jobs(self):
         assert RESILIENCE_KNOB_KEYS == tuple(
@@ -131,7 +132,7 @@ class TestDerivedTables:
         )
 
     def test_sweep_keys(self):
-        assert SWEEP_KNOB_KEYS == ("batch_size", "prune", "schedule")
+        assert SWEEP_KNOB_KEYS == ("batch_size", "prune")
 
     def test_knob_reference_covers_every_field(self):
         text = knob_reference()
@@ -156,7 +157,6 @@ _WIRE_VALUES = {
     "backend": st.sampled_from([None, "scalar", "vector", "sharded"]),
     "batch_size": st.one_of(st.none(), st.integers(1, 64)),
     "prune": st.sampled_from([None, True, False, "auto"]),
-    "schedule": st.sampled_from([None, "auto", "cone", "input"]),
 }
 
 
@@ -219,20 +219,21 @@ class TestWireRoundTrip:
     def test_resolved_is_idempotent(self):
         cfg = AnalysisConfig(batch_size=4).resolved()
         assert cfg.resolved() == cfg
-        assert cfg.prune == "auto" and cfg.schedule == "auto"
+        assert cfg.prune == "auto"
 
     def test_from_wire_ignores_retired_sweep_knobs(self):
-        # Records written while cells/chunking/rows existed still load:
-        # the retired keys are unknown now, and tolerant decoding drops
-        # them instead of failing the whole record.
+        # Records written while cells/chunking/rows/schedule existed
+        # still load: the retired keys are unknown now, and tolerant
+        # decoding drops them instead of failing the whole record.
         old = {"version": 2, "batch_size": 8, "cells": "on",
-               "chunking": "adaptive", "rows": "full"}
+               "chunking": "adaptive", "rows": "full", "schedule": "cone"}
         cfg = AnalysisConfig.from_wire(old, strict=False)
         assert cfg == AnalysisConfig(batch_size=8)
         assert cfg.digest() == AnalysisConfig(batch_size=8).digest()
 
     @pytest.mark.parametrize("knob, value", [
         ("cells", "on"), ("chunking", "adaptive"), ("rows", "full"),
+        ("schedule", "cone"),
     ])
     def test_retired_sweep_knobs_are_unknown(self, knob, value):
         with pytest.raises(ConfigError, match=knob):

@@ -152,14 +152,13 @@ def assert_delta_equals_full(delta):
     edit_seed=st.integers(min_value=0, max_value=2**16),
     n_edits=st.integers(min_value=1, max_value=4),
     prune=st.sampled_from((None, True, False)),
-    schedule=st.sampled_from(("cone", "input")),
 )
 def test_delta_bit_identical_to_full(
-    n_inputs, n_gates, seed, edit_seed, n_edits, prune, schedule
+    n_inputs, n_gates, seed, edit_seed, n_edits, prune
 ):
     circuit = random_combinational(n_inputs, n_gates, seed=seed)
     engine = EPPEngine(circuit)
-    prev = engine.snapshot(prune=prune, schedule=schedule)
+    prev = engine.snapshot(prune=prune)
     edits = draw_edits(circuit, edit_seed, n_edits)
     delta = engine.analyze_delta(prev, edits)
     assert delta.stats["dirty"] + delta.stats["reused"] == delta.stats["sites"]

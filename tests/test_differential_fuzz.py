@@ -95,10 +95,8 @@ def random_tree_circuit(seed: int, max_inputs: int = 12, n_gates: int = 12) -> C
 
 
 def force_vector(engine: EPPEngine, prune: bool | None = None,
-                 schedule: str | None = None, batch_size: int | None = None):
-    backend = engine.vector_backend(
-        batch_size=batch_size, prune=prune, schedule=schedule
-    )
+                 batch_size: int | None = None):
+    backend = engine.vector_backend(batch_size=batch_size, prune=prune)
     backend.min_vector_work = 0
     return backend
 
@@ -124,20 +122,19 @@ def assert_all_sites_agree(reference: dict, candidate: dict):
     seed=st.integers(min_value=0, max_value=2**16),
     track_polarity=st.booleans(),
     prune=st.booleans(),
-    schedule=st.sampled_from(("cone", "input")),
     batch_size=st.sampled_from((None, 1, 3, 8)),
 )
 def test_scalar_vs_vector_agree_on_random_circuits(
-    n_inputs, n_gates, seed, track_polarity, prune, schedule, batch_size,
+    n_inputs, n_gates, seed, track_polarity, prune, batch_size,
 ):
-    """Vectorization — dense full-row or cone-pruned compacted-row state
-    matrices, input-ordered or cone-clustered, any chunk width — is a
-    pure reassociation: scalar == vector to 1e-9."""
+    """Vectorization — dense full-row state matrices in input order, or
+    cone-pruned compacted-row ones cone-clustered across chunks, any
+    chunk width — is a pure reassociation: scalar == vector to 1e-9."""
     circuit = random_combinational(n_inputs, n_gates, seed=seed)
     engine = EPPEngine(circuit, track_polarity=track_polarity)
-    force_vector(engine, prune=prune, schedule=schedule, batch_size=batch_size)
+    force_vector(engine, prune=prune, batch_size=batch_size)
     scalar = engine.analyze(backend="scalar")
-    vector = engine.analyze(backend="vector", prune=prune, schedule=schedule,
+    vector = engine.analyze(backend="vector", prune=prune,
                             batch_size=batch_size)
     assert_all_sites_agree(scalar, vector)
 
@@ -149,10 +146,10 @@ def test_scalar_vs_vector_agree_on_random_circuits(
     seed=st.integers(min_value=0, max_value=2**16),
     batch_size=st.integers(min_value=2, max_value=9),
     prune=st.sampled_from((True, None)),
-    schedule=st.sampled_from(("cone", "input")),
+    in_order=st.booleans(),
 )
 def test_cell_compacted_bit_equal_on_random_circuits(
-    n_inputs, n_gates, seed, batch_size, prune, schedule
+    n_inputs, n_gates, seed, batch_size, prune, in_order
 ):
     """The pruned sweep is not merely close to the dense sweep — the
     union-of-cones remap is pure indexing and the compacted kernels run
@@ -160,14 +157,18 @@ def test_cell_compacted_bit_equal_on_random_circuits(
     must match np.array_equal across random circuits (MUX/MAJ truth
     tables and sentinel-padded mixed arities included).  Per-kernel
     coverage of the compacted tier lives in
-    ``tests/test_epp_backends.py::TestCompactKernels``."""
+    ``tests/test_epp_backends.py::TestCompactKernels``.  ``in_order``
+    sweeps the sites as given (the sharded workers' entry point) instead
+    of in the order ``pack_sites`` picks."""
     circuit = random_combinational(n_inputs, n_gates, seed=seed)
     engine = EPPEngine(circuit)
     ids = [engine._cones.resolve(site) for site in engine.default_sites()]
-    expected = force_vector(engine, prune=False, schedule="input",
+    expected = force_vector(engine, prune=False,
                             batch_size=batch_size).pack_sites(ids)
-    packed = force_vector(engine, prune=prune, schedule=schedule,
-                          batch_size=batch_size).pack_sites(ids)
+    backend = force_vector(engine, prune=prune, batch_size=batch_size)
+    packed = (
+        backend._sweep_in_order(ids) if in_order else backend.pack_sites(ids)
+    )
     for left, right in zip(expected, packed):
         assert np.array_equal(left, right)
 
@@ -222,16 +223,18 @@ def test_epp_error_bounded_under_reconvergence(n_inputs, gates_per_input, seed):
 @pytest.mark.parametrize("seed", [11, 407, 90210])
 def test_scalar_vector_sharded_threeway(seed):
     """The full differential triangle, sharded side on a real process pool
-    (cone-clustered shards, shared-memory transport where available)."""
+    (cone-clustered shards, shared-memory transport where available):
+    pruned sweeps over several 16-site chunks cluster by cone."""
     circuit = random_combinational(8, 120, seed=seed)
     engine = EPPEngine(circuit)
-    force_vector(engine, schedule="cone")
-    sharded = engine.sharded_backend(jobs=2, schedule="cone")
+    knobs = dict(prune=True, batch_size=16)
+    force_vector(engine, **knobs)
+    sharded = engine.sharded_backend(jobs=2, **knobs)
     sharded.min_process_work = 0
     try:
         scalar = engine.analyze(backend="scalar")
-        vector = engine.analyze(backend="vector", schedule="cone")
-        fanned = engine.analyze(backend="sharded", jobs=2, schedule="cone")
+        vector = engine.analyze(backend="vector", **knobs)
+        fanned = engine.analyze(backend="sharded", jobs=2, **knobs)
         assert sharded.pool_started
     finally:
         sharded.close()

@@ -54,26 +54,34 @@ def build_circuit(name: str) -> Circuit:
 
 
 def force_vector(engine: EPPEngine, batch_size: int | None = None,
-                 prune: bool | None = None, schedule: str | None = None):
+                 prune: bool | None = None):
     """A vector backend with the small-workload crossover disabled, so the
     vectorized kernels themselves are exercised even on tiny circuits."""
-    backend = engine.vector_backend(
-        batch_size=batch_size, prune=prune, schedule=schedule
-    )
+    backend = engine.vector_backend(batch_size=batch_size, prune=prune)
     backend.min_vector_work = 0
     return backend
 
 
+def pack_in_order(backend, ids, in_order: bool):
+    """``pack_sites`` (the backend orders the sweep itself) or, with
+    ``in_order``, the same sweep over ``ids`` exactly as given — the
+    entry point sharded workers run on pre-ordered shards."""
+    return backend._sweep_in_order(ids) if in_order else backend.pack_sites(ids)
+
+
 def assert_backends_agree(circuit: Circuit, track_polarity: bool = True,
                           batch_size: int | None = None, collapse: bool = False,
-                          prune: bool | None = None,
-                          schedule: str | None = None):
+                          prune: bool | None = None, in_order: bool = False):
     engine = EPPEngine(circuit, track_polarity=track_polarity)
-    force_vector(engine, batch_size, prune, schedule)
+    backend = force_vector(engine, batch_size, prune)
     scalar = engine.analyze(backend="scalar", collapse=collapse)
-    vector = engine.analyze(backend="vector", collapse=collapse,
-                            batch_size=batch_size, prune=prune,
-                            schedule=schedule)
+    if in_order:
+        ids = [engine._cones.resolve(site) for site in scalar]
+        vector = {}
+        backend.materialize(ids, backend._sweep_in_order(ids), vector)
+    else:
+        vector = engine.analyze(backend="vector", collapse=collapse,
+                                batch_size=batch_size, prune=prune)
     assert list(scalar) == list(vector)  # same sites, same order
     for site, expected in scalar.items():
         got = vector[site]
@@ -139,24 +147,27 @@ class TestSparseSweepEquivalence:
     """
 
     @pytest.mark.parametrize("circuit_name", ["zoo", "s27", "s953", "s1423"])
-    @pytest.mark.parametrize("schedule", ["cone", "input"])
-    def test_sparse_agrees_with_scalar(self, circuit_name, schedule):
+    @pytest.mark.parametrize("order", ["cone", "input"])
+    def test_sparse_agrees_with_scalar(self, circuit_name, order):
+        """Pruned sweeps in the order the backend picks (``cone``) and in
+        the caller's order (``input``, the sharded workers' path)."""
         assert_backends_agree(build_circuit(circuit_name), prune=True,
-                              schedule=schedule)
+                              in_order=order == "input")
 
     @pytest.mark.parametrize("circuit_name", ["zoo", "s953"])
     def test_sparse_bit_equal_to_dense(self, circuit_name):
-        """prune/schedule change *which rows compute*, never their values:
-        packed arrays must be bitwise identical, not merely close."""
+        """prune and the sweep order change *which rows compute*, never
+        their values: packed arrays must be bitwise identical, not merely
+        close.  Dense ``pack_sites`` sweeps in input order; pruned
+        ``pack_sites`` cone-clusters these multi-chunk calls."""
         circuit = build_circuit(circuit_name)
         engine = EPPEngine(circuit)
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         packs = {}
-        for prune, schedule in ((False, "input"), (True, "input"), (True, "cone")):
-            backend = force_vector(engine, batch_size=5, prune=prune,
-                                   schedule=schedule)
-            packs[(prune, schedule)] = backend.pack_sites(ids)
-        reference = packs[(False, "input")]
+        for prune, in_order in ((False, False), (True, True), (True, False)):
+            backend = force_vector(engine, batch_size=5, prune=prune)
+            packs[(prune, in_order)] = pack_in_order(backend, ids, in_order)
+        reference = packs[(False, False)]
         for key, packed in packs.items():
             for left, right in zip(reference, packed):
                 assert np.array_equal(left, right), key
@@ -165,21 +176,16 @@ class TestSparseSweepEquivalence:
     def test_mixed_arity_sentinel_groups_prune_correctly(self, prune):
         """The zoo's and2/and3 share one sentinel-padded group; slicing
         active rows must keep the padding columns aligned per row."""
-        assert_backends_agree(gate_zoo(), prune=prune, batch_size=2,
-                              schedule="cone")
+        assert_backends_agree(gate_zoo(), prune=prune, batch_size=2)
 
-    #: Every sweep strategy the backend can run: forced pruning (every
-    #: chunk on a compacted union-of-cones matrix, groups split between
-    #: the cell-compacted and row kernels by the cost model) under both
-    #: schedules, and the full auto stack (plus the saturated dense
-    #: fallback).  The compacted kernels themselves are pinned per gate
-    #: type by ``TestCompactKernels``.
-    FORCED_CONFIGS = (
-        dict(prune=True, schedule="cone"),
-        dict(prune=True, schedule="input"),
-        dict(prune=None, schedule="auto"),
-        dict(prune=None, schedule="input"),
-    )
+    #: Every sweep strategy the backend can run, as ``(prune, in_order)``:
+    #: forced pruning (every chunk on a compacted union-of-cones matrix,
+    #: groups split between the cell-compacted and row kernels by the
+    #: cost model) in cone order and in input order, and the full auto
+    #: stack (plus the saturated dense fallback) both ways.  The
+    #: compacted kernels themselves are pinned per gate type by
+    #: ``TestCompactKernels``.
+    FORCED_CONFIGS = ((True, False), (True, True), (None, False), (None, True))
 
     @pytest.mark.parametrize("circuit_name", ["zoo", "s27", "s953"])
     def test_cell_compacted_bit_equal_to_dense(self, circuit_name):
@@ -191,11 +197,12 @@ class TestSparseSweepEquivalence:
         engine = EPPEngine(circuit)
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         reference = force_vector(
-            engine, batch_size=5, prune=False, schedule="input",
+            engine, batch_size=5, prune=False,
         ).pack_sites(ids)
         for config in self.FORCED_CONFIGS:
-            backend = force_vector(engine, batch_size=5, **config)
-            packed = backend.pack_sites(ids)
+            prune, in_order = config
+            backend = force_vector(engine, batch_size=5, prune=prune)
+            packed = pack_in_order(backend, ids, in_order)
             for left, right in zip(reference, packed):
                 assert np.array_equal(left, right), config
 
@@ -205,8 +212,7 @@ class TestSparseSweepEquivalence:
         compacted kernels, and the stats show fewer cells computed than
         spanned."""
         engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, batch_size=16, prune=True,
-                               schedule="cone")
+        backend = force_vector(engine, batch_size=16, prune=True)
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         stats = backend.sweep_stats
@@ -221,8 +227,7 @@ class TestSparseSweepEquivalence:
         """The cost model must route dense-ish groups to the row kernels
         and sparse groups to the compacted kernels on the same sweep set."""
         engine = EPPEngine(build_circuit("s1423"))
-        backend = force_vector(engine, batch_size=64, prune=True,
-                               schedule="cone")
+        backend = force_vector(engine, batch_size=64, prune=True)
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         stats = backend.sweep_stats
@@ -241,8 +246,7 @@ class TestSparseSweepEquivalence:
         engine = EPPEngine(build_circuit("s953"))
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         for prune in (True, False):
-            backend = force_vector(engine, batch_size=32, prune=prune,
-                                   schedule="cone")
+            backend = force_vector(engine, batch_size=32, prune=prune)
             first = backend.pack_sites(ids)
             narrow = backend.pack_sites(ids[:7])  # narrow between full ones
             again = backend.pack_sites(ids)
@@ -250,7 +254,6 @@ class TestSparseSweepEquivalence:
                 assert np.array_equal(left, right)
             fresh = force_vector(
                 EPPEngine(build_circuit("s953")), batch_size=32, prune=prune,
-                schedule="cone",
             ).pack_sites(ids[:7])
             for left, right in zip(fresh, narrow):
                 assert np.array_equal(left, right)
@@ -270,10 +273,9 @@ class TestSparseSweepEquivalence:
                              [previous, "i1"])
             previous = name
         circuit.mark_output(previous)
+        assert_backends_agree(circuit, prune=True, batch_size=batch_size)
         assert_backends_agree(circuit, prune=True, batch_size=batch_size,
-                              schedule="cone")
-        assert_backends_agree(circuit, prune=True, batch_size=batch_size,
-                              schedule="input")
+                              in_order=True)
 
 
 def two_block_circuit() -> Circuit:
@@ -315,8 +317,7 @@ class TestCompactedRows:
 
     def test_compact_sweeps_engage_without_template(self):
         engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, batch_size=16, prune=True,
-                               schedule="cone")
+        backend = force_vector(engine, batch_size=16, prune=True)
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         stats = backend.sweep_stats
@@ -330,8 +331,7 @@ class TestCompactedRows:
     def test_auto_rows_compacts_pruned_sweeps(self):
         """Every sweep that prunes runs on the compacted layout."""
         engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, batch_size=16, prune=True,
-                               schedule="cone")
+        backend = force_vector(engine, batch_size=16, prune=True)
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         assert backend.sweep_stats["compact_sweeps"] > 0
@@ -341,8 +341,7 @@ class TestCompactedRows:
         """Dense sweeps keep the full-row layout: template-reset slot
         buffers, no compacted sweeps."""
         engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, batch_size=16, prune=False,
-                               schedule="cone")
+        backend = force_vector(engine, batch_size=16, prune=False)
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         assert backend.sweep_stats["compact_sweeps"] == 0
@@ -374,7 +373,7 @@ class TestCompactedRows:
         """batch_size=1: every chunk holds one site, so each compacted
         matrix is exactly one cone (plus read rows and sentinels)."""
         assert_backends_agree(build_circuit(circuit_name), prune=True,
-                              batch_size=1, schedule="cone")
+                              batch_size=1)
 
     @pytest.mark.parametrize("prune", [True, False], ids=["compact", "full"])
     def test_sites_inside_other_sites_cones(self, prune):
@@ -391,15 +390,13 @@ class TestCompactedRows:
                              [previous, "i1"])
             previous = name
         circuit.mark_output(previous)
-        assert_backends_agree(circuit, prune=prune, batch_size=3,
-                              schedule="cone")
-        assert_backends_agree(circuit, prune=prune, schedule="input")
+        assert_backends_agree(circuit, prune=prune, batch_size=3)
+        assert_backends_agree(circuit, prune=prune, in_order=True)
 
     def test_chunk_plan_cached_across_sweeps(self):
         """Repeated sweeps of the same chunk reuse one cached row remap."""
         engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, batch_size=16, prune=True,
-                               schedule="cone")
+        backend = force_vector(engine, batch_size=16, prune=True)
         ids = np.asarray(
             [engine._cones.resolve(s) for s in engine.default_sites()][:16],
             dtype=np.intp,
@@ -411,8 +408,7 @@ class TestCompactedRows:
 
     def test_release_buffers_clears_chunk_plans(self):
         engine = EPPEngine(build_circuit("s953"))
-        backend = force_vector(engine, batch_size=16, prune=True,
-                               schedule="cone")
+        backend = force_vector(engine, batch_size=16, prune=True)
         ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         backend.analyze_sites(ids)
         assert len(backend.plan.chunk_cache) > 0
@@ -424,7 +420,7 @@ class TestCompactedRows:
         mapped back to their global sink positions."""
         circuit = two_block_circuit()
         engine = EPPEngine(circuit)
-        backend = force_vector(engine, prune=True, schedule="input")
+        backend = force_vector(engine, prune=True)
         a_ids = np.asarray([engine._cones.resolve("a0")], dtype=np.intp)
         cplan = backend.plan.compact_chunk_plan(a_ids)
         # Block A reaches one of the two sinks; block B's rows are absent.
@@ -432,7 +428,7 @@ class TestCompactedRows:
         assert cplan.n_rows < engine.compiled.n
         packed = backend.pack_sites(a_ids)
         dense = force_vector(
-            EPPEngine(circuit), prune=False, schedule="input",
+            EPPEngine(circuit), prune=False,
         ).pack_sites(a_ids)
         for left, right in zip(dense, packed):
             assert np.array_equal(left, right)
@@ -451,8 +447,7 @@ class TestDirtyRowLifecycle:
 
     def _backend(self, circuit, prune, batch_size=8):
         engine = EPPEngine(circuit)
-        backend = force_vector(engine, batch_size=batch_size, prune=prune,
-                               schedule="input")
+        backend = force_vector(engine, batch_size=batch_size, prune=prune)
         return engine, backend
 
     def test_failed_sweep_invalidates_dirty_tracking(self):
@@ -578,12 +573,16 @@ class TestUnifiedReductionPath:
 
     def test_p_sensitized_many_cone_schedule_stays_aligned(self):
         """Scheduling permutes the sweep; the output must stay aligned
-        with the caller's site order."""
+        with the caller's site order.  Pruned multi-chunk calls cluster,
+        dense ones sweep in input order."""
         engine = EPPEngine(build_circuit("s953"))
-        clustered = force_vector(engine, batch_size=16, schedule="cone")
+        clustered = force_vector(engine, batch_size=16, prune=True)
         site_ids = [engine._cones.resolve(s) for s in engine.default_sites()]
         got = clustered.p_sensitized_many(site_ids)
-        ordered = force_vector(engine, batch_size=16, schedule="input")
+        assert clustered._schedule_order(
+            np.asarray(site_ids, dtype=np.intp)
+        ) is not None
+        ordered = force_vector(engine, batch_size=16, prune=False)
         assert np.array_equal(got, ordered.p_sensitized_many(site_ids))
 
 

@@ -260,7 +260,7 @@ class TestDirtyMask:
 TIERS = [
     {},
     {"prune": True},
-    {"prune": False, "schedule": "input"},
+    {"prune": False},
     {"backend": "sharded", "jobs": 2},
 ]
 
@@ -408,17 +408,17 @@ class TestBitIdentity:
 
     def test_knob_override_merges_per_key(self):
         engine = EPPEngine(c17())
-        prev = engine.snapshot(prune=True, schedule="cone")
+        prev = engine.snapshot(prune=True, batch_size=2)
         delta = engine.analyze_delta(
             prev, EditSet().replace_gate("N10", "nor"), prune=False
         )
         assert delta.config.prune is False
-        assert delta.config.schedule == "cone"  # untouched keys survive
+        assert delta.config.batch_size == 2  # untouched keys survive
         assert_bit_identical(delta, full_resnapshot(delta))
 
     def test_config_replaces_the_snapshot_config(self):
         engine = EPPEngine(c17())
-        prev = engine.snapshot(prune=True, schedule="cone")
+        prev = engine.snapshot(prune=True)
         config = AnalysisConfig(batch_size=2)
         delta = engine.analyze_delta(
             prev, EditSet().replace_gate("N10", "nor"), config=config

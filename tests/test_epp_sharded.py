@@ -274,21 +274,23 @@ class TestShmTransport:
 
 class TestShardScheduling:
     def test_cone_schedule_results_in_input_order(self):
-        """The cone-clustered partition permutes shards; results must come
-        back keyed and ordered by the caller's site list."""
+        """The cone-clustered partition (pruned, multi-chunk) permutes
+        shards; results must come back keyed and ordered by the caller's
+        site list."""
         engine = EPPEngine(generate_iscas("s953"))
-        backend = engine.sharded_backend(jobs=2, schedule="cone")
+        backend = engine.sharded_backend(jobs=2, prune=True)
         backend.min_process_work = 0
         sites = engine.default_sites()
+        assert len(sites) > backend.worker_batch_size
         try:
             sharded = engine.analyze(sites=sites, backend="sharded", jobs=2,
-                                     schedule="cone")
+                                     prune=True)
             site_ids = [engine._cones.resolve(s) for s in sites]
             p_many = backend.p_sensitized_many(site_ids)
         finally:
             backend.close()
         assert list(sharded) == sites
-        vector = engine.analyze(sites=sites, backend="vector", schedule="cone")
+        vector = engine.analyze(sites=sites, backend="vector", prune=True)
         assert_results_match(vector, sharded)
         assert np.abs(
             engine.vector_backend().p_sensitized_many(site_ids) - p_many

@@ -102,9 +102,9 @@ class TestFaultPolicy:
         "bad",
         [
             {"retries": -1},
-            {"backoff_base": -0.1},
-            {"backoff_factor": 0.5},
-            {"jitter": 1.5},
+            {"shard_timeout": -1.0},
+            {"deadline": 0.0},
+            {"on_failure": "degraded"},
             {"shard_timeout": 0.0},
             {"deadline": -1.0},
             {"on_failure": "panic"},
@@ -115,24 +115,38 @@ class TestFaultPolicy:
             FaultPolicy(**bad)
 
     def test_backoff_deterministic_and_bounded(self):
-        policy = FaultPolicy(backoff_base=0.05, backoff_factor=2.0,
-                             backoff_max=0.3, jitter=0.25, seed=7)
-        schedule = [policy.backoff_delay(3, attempt) for attempt in (1, 2, 3, 4)]
-        again = [policy.backoff_delay(3, attempt) for attempt in (1, 2, 3, 4)]
-        assert schedule == again  # a pure function of (policy, shard, attempt)
+        from repro.core import resilience
+
+        base, cap = resilience.BACKOFF_BASE, resilience.BACKOFF_MAX
+        spread = 1.0 + resilience.BACKOFF_JITTER
+        policy = FaultPolicy()
+        attempts = range(1, 10)
+        schedule = [policy.backoff_delay(3, attempt) for attempt in attempts]
+        again = [
+            FaultPolicy(retries=5).backoff_delay(3, attempt)
+            for attempt in attempts
+        ]
+        assert schedule == again  # a pure function of (shard, attempt)
+        assert policy.backoff_delay(3, 0) == 0.0  # first submission
         # Exponential below the cap, capped (plus jitter) above it.
-        assert 0.05 <= schedule[0] <= 0.05 * 1.25
-        assert 0.10 <= schedule[1] <= 0.10 * 1.25
-        assert all(delay <= 0.3 * 1.25 for delay in schedule)
+        assert base <= schedule[0] <= base * spread
+        assert base * resilience.BACKOFF_FACTOR <= schedule[1] \
+            <= base * resilience.BACKOFF_FACTOR * spread
+        assert all(delay <= cap * spread for delay in schedule)
+        assert schedule[-1] >= cap
         # Different shards jitter differently (no retry stampede).
         assert policy.backoff_delay(0, 1) != policy.backoff_delay(1, 1)
 
-    def test_backoff_without_jitter_is_exact(self):
-        policy = FaultPolicy(backoff_base=0.1, backoff_factor=3.0,
-                             backoff_max=10.0, jitter=0.0)
-        assert policy.backoff_delay(0, 1) == pytest.approx(0.1)
-        assert policy.backoff_delay(0, 2) == pytest.approx(0.3)
-        assert policy.backoff_delay(0, 3) == pytest.approx(0.9)
+    def test_backoff_without_jitter_is_exact(self, monkeypatch):
+        from repro.core import resilience
+
+        monkeypatch.setattr(resilience, "BACKOFF_JITTER", 0.0)
+        base, factor = resilience.BACKOFF_BASE, resilience.BACKOFF_FACTOR
+        policy = FaultPolicy()
+        assert policy.backoff_delay(0, 1) == pytest.approx(base)
+        assert policy.backoff_delay(0, 2) == pytest.approx(base * factor)
+        assert policy.backoff_delay(0, 3) == pytest.approx(base * factor ** 2)
+        assert policy.backoff_delay(0, 50) == resilience.BACKOFF_MAX
 
     def test_deadline_countdown(self):
         unbounded = Deadline(None)
@@ -616,16 +630,29 @@ class TestKnobThreading:
         with pytest.raises(AnalysisError, match="sharded"):
             engine.analyze(backend="scalar", shard_timeout=1.0)
 
-    def test_engine_cache_keyed_by_policy(self, s953):
+    def test_engine_reuses_pool_across_policies(self, s953, tmp_path):
+        """The fault policy and checkpoint take effect per call: changing
+        them swaps them onto the cached driver; only a knob that shapes
+        the pool (jobs, the sweep knobs) builds a new one."""
         engine, _, _ = s953
         first = engine.sharded_backend(jobs=2, retries=1)
         assert first.policy.retries == 1
-        same = engine.sharded_backend(jobs=2, retries=1)
+        same = engine.sharded_backend(
+            jobs=2, retries=5, deadline=30.0, checkpoint=tmp_path,
+        )
         assert same is first
-        rebuilt = engine.sharded_backend(jobs=2, retries=5)
+        assert same.policy.retries == 5
+        assert same.policy.deadline == 30.0
+        assert same.checkpoint == str(tmp_path)
+        reset = engine.sharded_backend(jobs=2)
+        assert reset is first
+        assert reset.policy == FaultPolicy()
+        assert reset.checkpoint is None
+        rebuilt = engine.sharded_backend(jobs=3)
         assert rebuilt is not first
-        assert rebuilt.policy.retries == 5
-        rebuilt.close()
+        resized = engine.sharded_backend(jobs=3, batch_size=8)
+        assert resized is not rebuilt
+        resized.close()
 
     def test_analyzer_threads_resilience_knobs(self):
         analyzer = SERAnalyzer(generate_iscas("s953"))

@@ -6,7 +6,8 @@ computed in one reverse-topological pass instead of one forward search
 per site).  Caching must behave like the batch plan's: one instance per
 compiled circuit, invalidated when the circuit is recompiled, stripped by
 ``__getstate__`` so the sharded worker payload stays lean.  Clustering is
-a pure permutation with sites of identical cone signature adjacent.
+a pure permutation with sites of identical cone signature adjacent, and
+whether a call clusters at all is the one rule of ``cone_order_pays``.
 """
 
 import pickle
@@ -25,9 +26,8 @@ from repro.core.schedule import (
     chunk_cache_key,
     chunk_prune_saturated,
     cone_cluster_order,
+    cone_order_pays,
     resolve_prune,
-    resolve_schedule,
-    validate_schedule,
 )
 from repro.errors import AnalysisError
 from repro.netlist.circuit import Circuit
@@ -161,7 +161,7 @@ class TestChunkCache:
         """The prune="auto" predicate is computed once per distinct chunk
         and shared through the plan's cache (sat: keys)."""
         engine = EPPEngine(generate_iscas("s953"))
-        backend = engine.vector_backend(prune=True, schedule="cone")
+        backend = engine.vector_backend(prune=True)
         backend.min_vector_work = 0
         ids = np.asarray(
             [engine._cones.resolve(s) for s in engine.default_sites()][:16],
@@ -285,30 +285,74 @@ class TestRowsKnob:
 
 
 class TestScheduleKnob:
-    def test_validate_accepts_known_values(self):
-        assert validate_schedule(None) == "auto"
-        for value in ("auto", "cone", "input"):
-            assert validate_schedule(value) == value
+    """The sweep order is a rule in code (``cone_order_pays``), not a
+    knob: a ``schedule`` value anywhere is an unknown-knob error."""
 
     def test_validate_rejects_unknown(self):
-        with pytest.raises(AnalysisError, match="unknown schedule"):
-            validate_schedule("random")
+        from repro.core.config import AnalysisConfig
+
+        with pytest.raises(AnalysisError,
+                           match="unknown analysis knob 'schedule'"):
+            AnalysisConfig.from_knobs(schedule="cone")
 
     def test_auto_resolution_clusters_only_multi_chunk(self):
-        assert resolve_schedule("auto", 10, 32) == "input"
-        assert resolve_schedule("auto", 33, 32) == "cone"
-        assert resolve_schedule("cone", 2, 32) == "cone"
-        assert resolve_schedule("input", 1000, 32) == "input"
+        def never():
+            raise AssertionError("saturation consulted needlessly")
+
+        # Dense sweeps and single-chunk calls keep input order.
+        assert not cone_order_pays(False, 1000, 32, never)
+        assert not cone_order_pays("auto", 32, 32, never)
+        assert not cone_order_pays(True, 1, 32, never)
+        # Forced pruning clusters every multi-chunk call.
+        assert cone_order_pays(True, 33, 32, never)
+        # Under auto, a whole call that saturates keeps input order.
+        assert cone_order_pays("auto", 33, 32, lambda: False)
+        assert not cone_order_pays("auto", 33, 32, lambda: True)
+
+    def test_dense_sweeps_never_cluster(self, monkeypatch):
+        """prune=False sweeps (the bench's dense reference) never call
+        the cluster sort; prune=True multi-chunk sweeps do — in the
+        vector backend and in the sharded parent's partitioner."""
+        import repro.core.epp_batch as epp_batch_module
+        import repro.core.schedule as schedule_module
+
+        calls = []
+
+        def counting(compiled, site_ids):
+            calls.append(len(site_ids))
+            return cone_cluster_order(compiled, site_ids)
+
+        monkeypatch.setattr(epp_batch_module, "cone_cluster_order", counting)
+        monkeypatch.setattr(schedule_module, "cone_cluster_order", counting)
+        engine = EPPEngine(generate_iscas("s953"))
+        ids = [engine._cones.resolve(s) for s in engine.default_sites()]
+        assert len(ids) > 16  # multi-chunk at batch_size=16
+
+        _forced_backend(engine, batch_size=16, prune=False).pack_sites(ids)
+        _forced_backend(engine, batch_size=16, prune=False
+                        ).p_sensitized_many(ids)
+        dense = engine.sharded_backend(jobs=2, batch_size=16, prune=False)
+        dense._shards(ids)
+        dense.close()
+        assert calls == []
+
+        _forced_backend(engine, batch_size=16, prune=True).pack_sites(ids)
+        assert calls == [len(ids)]
+        pruned = engine.sharded_backend(jobs=2, batch_size=16, prune=True)
+        pruned._shards(ids)
+        pruned.close()
+        assert calls == [len(ids), len(ids)]
 
     def test_engine_rejects_bad_schedule(self):
         engine = EPPEngine(s27())
-        with pytest.raises(AnalysisError, match="unknown schedule"):
+        with pytest.raises(AnalysisError, match="'schedule'"):
             engine.analyze(backend="vector", schedule="sorted")
 
     def test_scalar_backend_rejects_bad_schedule_too(self):
-        """The scalar path ignores the knob but a typo must still fail."""
+        """The scalar path runs no sweep, but the retired knob must
+        still fail by name."""
         engine = EPPEngine(s27())
-        with pytest.raises(AnalysisError, match="unknown schedule"):
+        with pytest.raises(AnalysisError, match="'schedule'"):
             engine.analyze(backend="scalar", schedule="sorted")
 
     def test_table2_config_rejects_knobs_on_scalar_backend(self):
@@ -319,21 +363,21 @@ class TestScheduleKnob:
         with pytest.raises(ConfigError, match="vector"):
             Table2Config(analysis=AnalysisConfig(backend="scalar", prune=False))
         with pytest.raises(ConfigError, match="vector"):
-            Table2Config(analysis=AnalysisConfig(backend="scalar", schedule="cone"))
+            Table2Config(analysis=AnalysisConfig(backend="scalar", prune=True))
         Table2Config(analysis=AnalysisConfig(  # fine
-            backend="vector", prune=False, schedule="cone",
+            backend="vector", prune=False,
         ))
 
-    def test_backend_cache_keyed_by_prune_and_schedule(self):
+    def test_backend_cache_keyed_by_prune(self):
         engine = EPPEngine(s27())
         default = engine.vector_backend()
         assert engine.vector_backend() is default
         pruned_off = engine.vector_backend(prune=False)
         assert pruned_off is not default
         assert pruned_off.prune is False
-        clustered = engine.vector_backend(schedule="cone")
-        assert clustered is not pruned_off
-        assert clustered.schedule == "cone"
+        forced = engine.vector_backend(prune=True)
+        assert forced is not pruned_off
+        assert forced.prune is True
 
     def test_validate_cells_and_chunking(self):
         """Both knobs are retired: any value is an unknown knob."""
@@ -363,14 +407,18 @@ class TestScheduleKnob:
 
 
 class TestScheduledResults:
+    """Pruned multi-chunk calls sweep in cone order, dense ones in input
+    order: comparing ``prune=True`` with ``prune=False`` pins both the
+    pruned sweep and the cluster permutation against the reference."""
+
     def test_cone_schedule_preserves_input_order(self):
         """Scheduling permutes the sweep, never the returned mapping."""
         engine = EPPEngine(generate_iscas("s953"))
-        backend = engine.vector_backend(batch_size=16, schedule="cone")
+        backend = engine.vector_backend(batch_size=16, prune=True)
         backend.min_vector_work = 0
         sites = engine.default_sites()
         results = engine.analyze(sites=sites, backend="vector",
-                                 batch_size=16, schedule="cone")
+                                 batch_size=16, prune=True)
         assert list(results) == sites
 
     def test_cone_schedule_values_match_input_schedule(self):
@@ -380,10 +428,10 @@ class TestScheduledResults:
         engine = EPPEngine(generate_iscas("s953"))
         site_ids = [engine._cones.resolve(s) for s in engine.default_sites()]
 
-        backend = engine.vector_backend(batch_size=16, schedule="cone")
+        backend = engine.vector_backend(batch_size=16, prune=True)
         backend.min_vector_work = 0
         clustered = backend.analyze_sites(site_ids)
-        backend = engine.vector_backend(batch_size=16, schedule="input")
+        backend = engine.vector_backend(batch_size=16, prune=False)
         backend.min_vector_work = 0
         ordered = backend.analyze_sites(site_ids)
 
@@ -397,12 +445,16 @@ class TestScheduledResults:
         caller's site order — the sharded materialize contract."""
         engine = EPPEngine(generate_iscas("s953"))
         ids = [engine._cones.resolve(site) for site in engine.default_sites()]
-        clustered = engine.vector_backend(batch_size=16, schedule="cone")
+        clustered = engine.vector_backend(batch_size=16, prune=True)
         clustered.min_vector_work = 0
         packed_clustered = clustered.pack_sites(ids)
-        ordered = engine.vector_backend(batch_size=16, schedule="input")
+        # The same pruned sweep in input order — the workers' entry point.
+        packed_in_order = clustered._sweep_in_order(ids)
+        ordered = engine.vector_backend(batch_size=16, prune=False)
         ordered.min_vector_work = 0
         packed_ordered = ordered.pack_sites(ids)
+        for left, right in zip(packed_in_order, packed_ordered):
+            assert np.array_equal(left, right)
         for left, right in zip(packed_clustered, packed_ordered):
             assert np.array_equal(left, right)
 
@@ -478,11 +530,11 @@ class TestAdaptiveChunkSpans:
         engine = EPPEngine(generate_iscas("s953"))
         ids = [engine._cones.resolve(site) for site in engine.default_sites()]
         reference = _forced_backend(
-            engine, batch_size=16, schedule="cone", prune=True
+            engine, batch_size=16, prune=True
         ).pack_sites(ids)
         for batch_size in (5, 64):
             packed = _forced_backend(
-                engine, batch_size=batch_size, schedule="cone", prune=True
+                engine, batch_size=batch_size, prune=True
             ).pack_sites(ids)
             for left, right in zip(reference, packed):
                 assert np.array_equal(left, right)

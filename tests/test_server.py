@@ -317,15 +317,16 @@ class TestServiceCore:
 
     @pytest.mark.parametrize("knob, value", [
         ("jobs", 4096), ("retries", 1), ("shard_timeout", 5.0),
-        ("on_failure", "degrade"),
+        ("on_failure", "degrade"), ("schedule", "cone"),
     ])
     def test_execution_knobs_rejected_off_the_wire(
         self, tmp_path, c17_ref, monkeypatch, knob, value
     ):
         """The execution knobs are the server's (``serve --jobs``), not a
-        client's: a request carrying one gets a typed terminal error
-        naming it, no worker process is ever created, and the server
-        answers the next request."""
+        client's, and ``schedule`` is no knob at all (the sweep order is
+        a rule in code): a request carrying one gets a typed terminal
+        error naming it, no worker process is ever created, and the
+        server answers the next request."""
         import repro.core.epp_shard as shard_module
 
         def no_pool(*args, **kwargs):
@@ -346,6 +347,68 @@ class TestServiceCore:
                 assert after["ok"]
                 assert_matches_reference(after["result"], c17_ref)
         asyncio.run(main())
+
+    @staticmethod
+    def _count_pool_builds(monkeypatch) -> list:
+        """Record every ShardedEPPEngine construction; warming starts no
+        process (s953 stays under the crossover guard otherwise)."""
+        import repro.core.epp_shard as shard_module
+
+        built = []
+        original = shard_module.ShardedEPPEngine.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("config"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            shard_module.ShardedEPPEngine, "__init__", counting_init
+        )
+        monkeypatch.setattr(
+            shard_module.ShardedEPPEngine, "warm", lambda self, timeout=None: self
+        )
+        return built
+
+    def test_request_deadline_keeps_the_sharded_pool(
+        self, tmp_path, monkeypatch
+    ):
+        """Dedicated sweeps carry their own remaining budget as the fault
+        policy's deadline; that is per call, so three uncached requests
+        share one sharded driver instead of rebuilding it each time."""
+        built = self._count_pool_builds(monkeypatch)
+
+        async def main():
+            async with serving(tmp_path, jobs=2, default_deadline=60) as svc:
+                for top in (1, 2, 3):
+                    response = await svc._respond(wire(
+                        op="analyze", circuit="s953", coalesce=False,
+                        fit=True, top=top,
+                    ))
+                    assert response["ok"], response
+                    assert not response["result"]["cached"]
+        asyncio.run(main())
+        assert len(built) == 1
+
+    def test_warm_pool_survives_the_checkpoint_dir(
+        self, tmp_path, monkeypatch
+    ):
+        """``--warm`` builds the pool before any request; the per-circuit
+        checkpoint directory a ``--store-dir`` server adds per request
+        must not discard it."""
+        built = self._count_pool_builds(monkeypatch)
+
+        async def main():
+            async with serving(
+                tmp_path, jobs=2, warm=("s953",),
+                store_dir=str(tmp_path / "store"),
+            ) as svc:
+                assert len(built) == 1
+                response = await svc._respond(
+                    wire(op="analyze", circuit="s953")
+                )
+                assert response["ok"], response
+        asyncio.run(main())
+        assert len(built) == 1
 
     def test_delta_chain_matches_in_process(self, tmp_path, c17_ref):
         _, sites = c17_ref
